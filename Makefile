@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test test-faults bench bench-smoke bench-full serve-smoke serve-scale-smoke serve-chaos-smoke scenario-smoke experiments examples clean docs-check profile lint typecheck check check-tape ci
+.PHONY: install test test-faults bench bench-smoke bench-full serve-smoke serve-scale-smoke serve-chaos-smoke scenario-smoke experiments examples clean docs-check profile lint typecheck check check-tape bench-contract ci
 
 install:
 	pip install -e .
@@ -30,7 +30,14 @@ check:
 check-tape:
 	python -m repro check tape --dataset metr-la-sim
 
-ci: lint docs-check test-faults test bench-smoke serve-smoke serve-scale-smoke serve-chaos-smoke scenario-smoke check-tape
+# The repo benchmark's own contract (perfbench/): every workload runs at
+# the tiny size, traced and untraced, and its hooks — matmul op counts,
+# module scopes, serving spans — must still observe the program.  A src/
+# change that breaks them fails here instead of in the next benchmark run.
+bench-contract:
+	python3 -m pytest perfbench -q
+
+ci: lint docs-check test-faults test bench-smoke serve-smoke serve-scale-smoke serve-chaos-smoke scenario-smoke check-tape bench-contract
 
 profile:
 	python -m repro profile --dataset metr-la-sim --model d2stgnn --out BENCH_profile.json

@@ -104,10 +104,11 @@ class InherentBlock(nn.Module):
         outputs = []
         state = gru_state
         current = hidden_seq[:, hidden_seq.shape[1] - 1]
+        stacked = self.gru.cell.stacked() if self.use_gru else None
         for _ in range(self.horizon):
             step_input = self.feedback(current)
             if self.use_gru:
-                state = self.gru.cell(step_input, state)
+                state = self.gru.cell(step_input, state, stacked)
                 current = state
             else:
                 current = step_input.tanh()

@@ -16,7 +16,13 @@ __all__ = ["GRUCell", "GRU", "LSTMCell", "LSTM"]
 
 
 class GRUCell(Module):
-    """Single-step gated recurrent unit (Cho et al. 2014; paper Eq. 10)."""
+    """Single-step gated recurrent unit (Cho et al. 2014; paper Eq. 10).
+
+    The nine gate parameters stay separate, so state dicts keep their keys;
+    :meth:`stacked` concatenates them into the operands of the fused
+    :meth:`~repro.tensor.Tensor.gru_cell` step.  Loops over time stack once
+    and hand the result to every step.
+    """
 
     def __init__(self, input_dim: int, hidden_dim: int) -> None:
         super().__init__()
@@ -32,15 +38,26 @@ class GRUCell(Module):
         self.u_h = Parameter(init.xavier_uniform(hidden_dim, hidden_dim))
         self.b_h = Parameter(init.zeros(hidden_dim))
 
-    def forward(self, x: Tensor, h: Tensor) -> Tensor:
+    def stacked(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+        """``([W_z|W_r|W_h], [U_z|U_r|U_h], [b_z|b_r], b_h)``, the gate
+        parameters in the layout :meth:`~repro.tensor.Tensor.gru_cell` takes."""
+        return (
+            Tensor.concatenate([self.w_z, self.w_r, self.w_h], axis=1),
+            Tensor.concatenate([self.u_z, self.u_r, self.u_h], axis=1),
+            Tensor.concatenate([self.b_z, self.b_r]),
+            self.b_h,
+        )
+
+    def forward(
+        self, x: Tensor, h: Tensor, stacked: tuple[Tensor, ...] | None = None
+    ) -> Tensor:
         """Advance the hidden state by one time step.
 
-        ``x``: (batch, input_dim); ``h``: (batch, hidden_dim).
+        ``x``: (batch, input_dim); ``h``: (batch, hidden_dim).  ``stacked``
+        is a :meth:`stacked` result shared across the steps of a loop; when
+        omitted, this step stacks the parameters itself.
         """
-        z = (x @ self.w_z + h @ self.u_z + self.b_z).sigmoid()
-        r = (x @ self.w_r + h @ self.u_r + self.b_r).sigmoid()
-        candidate = (x @ self.w_h + r * (h @ self.u_h + self.b_h)).tanh()
-        return (1.0 - z) * h + z * candidate
+        return x.gru_cell(h, *(stacked if stacked is not None else self.stacked()))
 
 
 class GRU(Module):
@@ -60,9 +77,10 @@ class GRU(Module):
     def forward(self, x: Tensor, h0: Tensor | None = None) -> tuple[Tensor, Tensor]:
         batch, steps, _ = x.shape
         h = h0 if h0 is not None else Tensor.zeros((batch, self.hidden_dim))
+        stacked = self.cell.stacked()
         outputs = []
         for t in range(steps):
-            h = self.cell(x[:, t, :], h)
+            h = self.cell(x[:, t, :], h, stacked)
             outputs.append(h)
         return Tensor.stack(outputs, axis=1), h
 

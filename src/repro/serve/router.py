@@ -402,13 +402,6 @@ class ShardedServingEngine:
         version = results[0].version if results else self.active_version
         return self._finish(values, source, version, reason, start)
 
-    def _shed_values(self, horizon: int) -> np.ndarray:
-        last_tod, last_dow = self.last_time()
-        profile = self._fallback_profiles[self.active_version]
-        return fallback_forecast(
-            profile, last_tod, last_dow, horizon, self.bundle.spec.steps_per_day
-        )
-
     def _finish(self, values, source, version, reason, start) -> ForecastResult:
         with self._state_lock:
             return self._finish_locked(values, source, version, reason, start)

@@ -31,6 +31,7 @@ TENSOR_OPS: tuple[tuple[str, str, bool], ...] = (
     ("__pow__", "pow", False),
     ("__matmul__", "matmul", False),
     ("__rmatmul__", "matmul", False),
+    ("gru_cell", "gru_cell", False),
     ("__getitem__", "getitem", False),
     ("exp", "exp", False),
     ("log", "log", False),

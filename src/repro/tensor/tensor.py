@@ -73,6 +73,25 @@ def _set_backward_op_hook(hook: Callable[["Tensor"], None] | None) -> None:
     _BACKWARD_OP_HOOK = hook
 
 
+# Anomaly hook (installed by repro.check.sanitizers.detect_anomaly, None
+# otherwise).  Fused primitives pass each intermediate product their
+# composite form would have exposed as an op output through it, so the
+# guard keeps its per-op coverage inside them.  The disabled path costs one
+# global read per fused op.
+_INTERNAL_CHECK_HOOK: Callable[[np.ndarray, str], None] | None = None
+
+
+def _set_internal_check_hook(hook: Callable[[np.ndarray, str], None] | None) -> None:
+    """Install (or clear, with ``None``) the check on fused ops' internals.
+
+    The hook receives ``(array, op name)`` for every intermediate array a
+    fused primitive computes and raises if it rejects the values.  Used
+    exclusively by :func:`repro.check.sanitizers.detect_anomaly`.
+    """
+    global _INTERNAL_CHECK_HOOK
+    _INTERNAL_CHECK_HOOK = hook
+
+
 class _BackwardTape:
     """Per-process record of tracked graph nodes in creation order.
 
@@ -305,6 +324,23 @@ def _duplicate_free_index(index) -> bool:
     if isinstance(index, np.ndarray) and index.dtype == np.bool_:
         return True
     return False
+
+
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function of an array.
+
+    Takes ``exp`` of a non-positive value only, so neither branch can
+    overflow.  Computed with two reused temporaries; the per-element
+    formulas are x >= 0 -> 1 / (1 + e), x < 0 -> e / (1 + e), with
+    e = exp(-|x|).
+    """
+    t = np.abs(x)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    d = t + 1.0
+    np.divide(t, d, out=t)
+    np.divide(1.0, d, out=d)
+    return np.where(x >= 0, d, t).astype(x.dtype, copy=False)
 
 
 def _as_array(value, dtype=None) -> np.ndarray:
@@ -903,18 +939,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward, "tanh")
 
     def sigmoid(self) -> "Tensor":
-        # Numerically stable logistic function: exp of a non-positive value
-        # only, so neither branch can overflow.  Computed with two reused
-        # temporaries; the per-element formulas are unchanged:
-        # x >= 0 -> 1 / (1 + e), x < 0 -> e / (1 + e), with e = exp(-|x|).
-        x = self.data
-        t = np.abs(x)
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        d = t + 1.0
-        np.divide(t, d, out=t)
-        np.divide(1.0, d, out=d)
-        out_data = np.where(x >= 0, d, t).astype(x.dtype, copy=False)
+        out_data = _stable_sigmoid(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -1018,6 +1043,76 @@ class Tensor:
 
     def __rmatmul__(self, other) -> "Tensor":
         return self._coerce(other) @ self
+
+    # ------------------------------------------------------------------
+    # Fused recurrent step
+    # ------------------------------------------------------------------
+    def gru_cell(
+        self, h: "Tensor", w: "Tensor", u: "Tensor", b_zr: "Tensor", b_h: "Tensor"
+    ) -> "Tensor":
+        """One GRU step (paper Eq. 10) as a single differentiable op.
+
+        ``self`` is the input x (B, D) and ``h`` the state (B, H).  The gate
+        parameters come stacked on their last axis in z, r, candidate order:
+        ``w = [W_z|W_r|W_h]`` (D, 3H), ``u = [U_z|U_r|U_h]`` (H, 3H),
+        ``b_zr = [b_z|b_r]`` (2H,) and ``b_h`` (H,).  Two GEMMs replace the
+        composite cell's six; ``U_h`` shares h's GEMM because the reset gate
+        multiplies the whole ``h U_h + b_h`` term.  The elementwise formulas
+        and their evaluation order are the composite cell's, so the output
+        matches it bit for bit wherever the BLAS computes a column block of
+        a GEMM exactly as the GEMM of that block alone.  Backward is one
+        closure with four GEMMs that keeps the gates, the candidate and
+        ``h U_h + b_h`` — not the composite's ~20 intermediate arrays.
+        """
+        x = self
+        hidden = h.data.shape[-1]
+        split = 2 * hidden
+        check = _INTERNAL_CHECK_HOOK
+        gx = x.data @ w.data
+        gh = h.data @ u.data
+        pre_zr = gx[:, :split] + gh[:, :split]
+        pre_zr += b_zr.data
+        hh = gh[:, split:] + b_h.data
+        zr = _stable_sigmoid(pre_zr)
+        z = zr[:, :hidden]
+        r = zr[:, hidden:]
+        pre_c = gx[:, split:] + r * hh
+        if check is not None:
+            for value in (gx, gh, pre_zr, hh, pre_c):
+                check(value, "gru_cell")
+        cand = np.tanh(pre_c)
+        out_data = (1.0 - z) * h.data + z * cand
+
+        def backward(grad: np.ndarray) -> None:
+            # Pre-activation gradients, laid out like the stacked GEMM
+            # outputs: [z | r | candidate] for x's GEMM; h's differs only in
+            # the candidate block, where the reset gate scales it.
+            d_gx = np.empty((grad.shape[0], 3 * hidden), dtype=grad.dtype)
+            d_z, d_r, d_c = d_gx[:, :hidden], d_gx[:, hidden:split], d_gx[:, split:]
+            np.multiply(grad, z, out=d_c)
+            d_c *= 1.0 - cand * cand
+            np.subtract(cand, h.data, out=d_z)
+            d_z *= grad
+            np.multiply(d_c, hh, out=d_r)
+            d_gx[:, :split] *= zr * (1.0 - zr)
+            d_gh = d_gx.copy()
+            d_gh[:, split:] *= r
+            if x.requires_grad:
+                x._accumulate_fresh(d_gx @ w.data.T)
+            if h.requires_grad:
+                d_h = d_gh @ u.data.T
+                d_h += grad * (1.0 - z)
+                h._accumulate_fresh(d_h)
+            if w.requires_grad:
+                w._accumulate_fresh(x.data.T @ d_gx)
+            if u.requires_grad:
+                u._accumulate_fresh(h.data.T @ d_gh)
+            if b_zr.requires_grad:
+                b_zr._accumulate_fresh(d_gx[:, :split].sum(axis=0))
+            if b_h.requires_grad:
+                b_h._accumulate_fresh(d_gh[:, split:].sum(axis=0))
+
+        return Tensor._make(out_data, (x, h, w, u, b_zr, b_h), backward, "gru_cell")
 
     # ------------------------------------------------------------------
     # Reductions

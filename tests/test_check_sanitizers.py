@@ -21,6 +21,7 @@ def _engine_is_pristine():
     from types import MemberDescriptorType
 
     assert tensor_mod._BACKWARD_OP_HOOK is None
+    assert tensor_mod._INTERNAL_CHECK_HOOK is None
     assert isinstance(Tensor.__dict__["data"], MemberDescriptorType)
     assert isinstance(Tensor.__dict__["_make"], staticmethod)
     assert "exp" not in vars(Tensor) or Tensor.exp.__qualname__.startswith("Tensor.")
@@ -132,6 +133,18 @@ class TestDetectAnomaly:
             with detect_anomaly():
                 x = Tensor(np.array([0.0, 4.0]), requires_grad=True)
                 x.sqrt().sum().backward()
+
+    def test_finite_array_whose_sum_overflows_passes(self):
+        big = Tensor(np.array([3e38, 3e38], np.float32), requires_grad=True)
+        with detect_anomaly():
+            out = big * 1.0
+        assert np.isfinite(out.numpy()).all()
+
+    @pytest.mark.parametrize("values", [[1.0, np.inf], [np.nan]])
+    def test_any_non_finite_element_trips(self, values):
+        with pytest.raises(AnomalyError, match="op 'mul'"):
+            with detect_anomaly():
+                Tensor(np.array(values, np.float32), requires_grad=True) * 1.0
 
     def test_finite_graph_passes(self):
         with detect_anomaly():
