@@ -1,8 +1,9 @@
 """Train-step throughput — the regression gate for the engine's fast paths.
 
 Times full optimisation steps (gather → forward → loss → backward → clip →
-update) per model on metr-la-sim, once under the engine's fast backward
-configuration and once under the reference configuration, and benchmarks
+update) per model on metr-la-sim under the engine's fast backward
+configuration, the reference configuration and each fast-path switch turned
+off on its own, with the legs alternated in rounds, and benchmarks
 vectorized batch assembly against the per-sample reference loop.  Both fast
 paths must be *bit-identical* to their slow counterparts — that is asserted
 here on top of the dedicated equivalence suite
@@ -35,7 +36,8 @@ from repro.utils.timer import now
 
 MODELS = ("D2STGNN", "GraphWaveNet", "DCRNN")
 DATASET = "metr-la-sim"
-TIMED_STEPS = 8
+TIMED_STEPS = 4  # per leg and round
+ROUNDS = 4
 GATHER_BATCHES = 50
 GATHER_BATCH_SIZE = 64
 
@@ -132,7 +134,8 @@ def test_train_step_throughput(benchmark):
             set_seed(0)
             model, _ = build_model(name, data)
             timing = compare_fast_reference(
-                model, data, batch_size=profile().batch_size, steps=TIMED_STEPS
+                model, data, rounds=ROUNDS,
+                batch_size=profile().batch_size, steps=TIMED_STEPS, warmup=1,
             )
             timing["grads_bit_identical"] = (
                 _grads_after_steps(name, data, FAST_CONFIG)
@@ -153,6 +156,13 @@ def test_train_step_throughput(benchmark):
               f"{t['reference']['step_ms_min']:>9.2f} {t['speedup_end_to_end']:>7.2f} "
               f"{t['fast']['backward_us_min']:>12.0f} "
               f"{t['reference']['backward_us_min']:>12.0f} {t['speedup_backward']:>7.2f}")
+    print("all-on speedup over one switch off (end to end / backward):")
+    for name in MODELS:
+        switches = results["models"][name]["switches"]
+        print(f"{name:<14} " + "  ".join(
+            f"{switch} x{t['speedup_end_to_end']:.2f}/x{t['speedup_backward']:.2f}"
+            for switch, t in switches.items()
+        ))
     g = results["gather"]
     print(f"gather: vectorized {g['vectorized_us_per_batch']:.1f} us/batch vs "
           f"loop {g['loop_us_per_batch']:.1f} us/batch (x{g['speedup']:.1f})")

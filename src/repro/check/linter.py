@@ -44,8 +44,7 @@ R010      model forwards in the evaluation/serving entry points
           (``evaluate_split``/``predict_split`` and the serving
           micro-batcher) must run under ``inference_mode()`` (or
           ``Module.inference()``) — an unguarded forward there records
-          graph nodes and pollutes the backward-tape cache (the PR 5
-          tape-hygiene invariant)
+          graph nodes that nobody will backpropagate
 R011      every event class in :mod:`repro.data.events` must declare an
           explicit ``seed``/``rng`` field, and the module must not draw
           from an argless ``default_rng()`` — scenario schedules are
@@ -155,8 +154,7 @@ _INSTANTIATE_NAMES = frozenset({"instantiate", "instantiate_fresh"})
 # R010: the inference entry points — split evaluation/prediction and the
 # serving micro-batcher (the one sanctioned forward site in repro.serve).
 # Forwards here must sit inside `with inference_mode():` (or the
-# `Module.inference()` shorthand) so no graph nodes are recorded and the
-# backward-tape cache stays clean.
+# `Module.inference()` shorthand) so no graph nodes are recorded.
 _INFERENCE_REQUIRED_PATHS = (
     "src/repro/training/evaluation.py",
     "src/repro/serve/microbatch.py",

@@ -155,8 +155,8 @@ def cmd_profile(args) -> int:
     baseline (schema ``repro.obs.profile/v1``) to ``--out``.
 
     With ``--train-step`` it instead times full optimisation steps under the
-    engine's fast and reference backward configurations
-    (:func:`repro.obs.compare_fast_reference`) and writes
+    engine's fast and reference backward configurations and with each
+    fast-path switch off (:func:`repro.obs.compare_fast_reference`) and writes
     ``BENCH_train_step.json`` (schema ``repro.obs.train_step/v1``).
     """
     from .obs import Profiler, annotate_model_scopes, compare_fast_reference
@@ -179,7 +179,8 @@ def cmd_profile(args) -> int:
             batch_size=args.batch_size, steps=args.batches, warmup=args.warmup,
         )
         fast, reference = timing["fast"], timing["reference"]
-        print(f"timed {args.batches} training steps of {name} on {args.dataset} "
+        print(f"timed {fast['steps']} training steps per configuration "
+              f"({fast['rounds']} alternated rounds) of {name} on {args.dataset} "
               f"(batch size {fast['batch_size']}, {model.num_parameters():,} parameters)")
         print(f"  fast:      {fast['step_ms_min']:8.2f} ms/step min "
               f"({fast['samples_per_sec']:7.1f} samples/s, "
@@ -189,6 +190,10 @@ def cmd_profile(args) -> int:
               f"backward {reference['backward_us_min']:9.0f} us)")
         print(f"  speedup:   x{timing['speedup_end_to_end']:.2f} end-to-end, "
               f"x{timing['speedup_backward']:.2f} backward")
+        print("  all-on over one switch off: " + ", ".join(
+            f"{switch} x{t['speedup_end_to_end']:.2f}"
+            for switch, t in timing["switches"].items()
+        ))
         payload = {
             "generated_by": "repro profile --train-step",
             "schema": "repro.obs.train_step/v1",

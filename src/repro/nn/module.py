@@ -142,9 +142,9 @@ class Module:
 
         Switches the whole module tree to evaluation mode (dropout becomes
         the identity) and enters :func:`repro.tensor.inference_mode` (no
-        graph recording, backward tape paused) for the duration.  On exit,
-        every submodule's previous ``training`` flag is restored exactly —
-        a trainer that evaluates mid-run returns to its prior mode mix.
+        graph recording) for the duration.  On exit, every submodule's
+        previous ``training`` flag is restored exactly — a trainer that
+        evaluates mid-run returns to its prior mode mix.
         """
         previous = [(module, module.training) for module in self.modules()]
         self.train(False)

@@ -5,12 +5,13 @@ The harness behind ``benchmarks/bench_train_step.py`` and
 batch gather, forward, loss, backward, gradient clipping, optimizer
 update — because that is the quantity the ROADMAP's "as fast as the
 hardware allows" north star is judged on; the backward slice is timed
-separately since the cached-tape fast paths concentrate there.
+separately since the engine's fast paths concentrate there.
 
 ``compare_fast_reference`` times the same model under the engine's fast
-backward paths and under the reference configuration, giving every run a
-self-contained before/after (see docs/performance.md for how the two
-relate to the pre-fast-path baseline).
+backward paths, under the reference configuration and with each fast-path
+switch turned off on its own, in alternated rounds, giving every run a
+self-contained before/after and a per-switch ablation (see
+docs/performance.md for how they relate to the pre-fast-path baseline).
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ __all__ = ["FAST_CONFIG", "REFERENCE_CONFIG", "compare_fast_reference", "time_tr
 # an allclose-only rewrite, so flipping it would change numerics rather than
 # merely the code path, breaking the bit-identity oracle the equivalence
 # tests rely on.
-FAST_CONFIG = {"tape": True, "scatter": True, "fused_matmul": True, "inplace": True}
-REFERENCE_CONFIG = {"tape": False, "scatter": False, "fused_matmul": True, "inplace": False}
+FAST_CONFIG = {"scatter": True, "fused_matmul": True, "inplace": True}
+REFERENCE_CONFIG = {"scatter": False, "fused_matmul": True, "inplace": False}
 
 
 def time_train_steps(
@@ -94,24 +95,70 @@ def time_train_steps(
     }
 
 
-def compare_fast_reference(model, data, **kwargs) -> dict:
-    """Time the model under the reference and fast backward configurations.
+# The switches timed one at a time, each turned off against FAST_CONFIG.
+SWITCH_ABLATIONS = ("scatter", "inplace", "fused_matmul")
 
-    Returns ``{"reference": ..., "fast": ...}`` (each a
-    :func:`time_train_steps` dict) plus end-to-end and backward speedups.
-    The engine configuration active on entry is restored afterwards.
+
+def _pool_rounds(runs: list[dict]) -> dict:
+    """Pool one leg's :func:`time_train_steps` rounds: minima of minima,
+    medians of medians."""
+    pooled = {
+        "batch_size": runs[0]["batch_size"],
+        "steps": sum(run["steps"] for run in runs),
+        "rounds": len(runs),
+    }
+    for key in ("step_ms", "backward_us"):
+        pooled[f"{key}_min"] = min(run[f"{key}_min"] for run in runs)
+        pooled[f"{key}_median"] = float(np.median([run[f"{key}_median"] for run in runs]))
+    pooled["samples_per_sec"] = pooled["batch_size"] / (pooled["step_ms_min"] / 1e3)
+    return pooled
+
+
+def compare_fast_reference(model, data, *, rounds: int = 4, **kwargs) -> dict:
+    """Time the model under the reference, fast and one-switch-off configurations.
+
+    The legs alternate: each of ``rounds`` rounds runs every leg once, as one
+    :func:`time_train_steps` call with ``kwargs``, rotating which leg goes
+    first, and each leg pools its rounds.  Legs run back to back instead
+    would let load drift between them read as a speedup or a loss.
+
+    Returns ``{"reference": ..., "fast": ...}`` (pooled
+    :func:`time_train_steps` dicts) plus end-to-end and backward speedups,
+    and under ``"switches"`` one entry per :data:`SWITCH_ABLATIONS` switch:
+    its ``off`` timing and the speedups of all-on over it.  The engine
+    configuration active on entry is restored afterwards.
     """
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    legs = {"reference": REFERENCE_CONFIG, "fast": FAST_CONFIG}
+    for switch in SWITCH_ABLATIONS:
+        legs[switch] = {**FAST_CONFIG, switch: False}
+    names = list(legs)
+    runs: dict[str, list[dict]] = {name: [] for name in names}
     previous = fast_backward_config()
     try:
-        configure_fast_backward(**REFERENCE_CONFIG)
-        reference = time_train_steps(model, data, **kwargs)
-        configure_fast_backward(**FAST_CONFIG)
-        fast = time_train_steps(model, data, **kwargs)
+        for r in range(rounds):
+            start = r % len(names)
+            for name in names[start:] + names[:start]:
+                configure_fast_backward(**legs[name])
+                runs[name].append(time_train_steps(model, data, **kwargs))
     finally:
         configure_fast_backward(**previous)
+    timing = {name: _pool_rounds(runs[name]) for name in names}
+    fast = timing["fast"]
+
+    def speedups(slow: dict) -> dict:
+        return {
+            "speedup_end_to_end": slow["step_ms_min"] / fast["step_ms_min"],
+            "speedup_backward": slow["backward_us_min"] / fast["backward_us_min"],
+        }
+
     return {
-        "reference": reference,
+        "reference": timing["reference"],
         "fast": fast,
-        "speedup_end_to_end": reference["step_ms_min"] / fast["step_ms_min"],
-        "speedup_backward": reference["backward_us_min"] / fast["backward_us_min"],
+        **speedups(timing["reference"]),
+        "switches": {
+            switch: {"off": timing[switch], **speedups(timing[switch])}
+            for switch in SWITCH_ABLATIONS
+        },
     }

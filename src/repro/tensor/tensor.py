@@ -20,14 +20,10 @@ Design notes
 * Only the primitives the models in this repository require are implemented;
   composite functions (softmax, attention, ...) live in
   :mod:`repro.tensor.functional`.
-* Training graphs are structurally identical batch to batch, so ``backward``
-  keeps a *backward tape*: nodes are recorded in creation order under a
-  rolling structural signature, the reverse-topological processing order of
-  the first backward is cached, and later steps replay that exact order while
-  recycling the previous step's gradient buffers.  Replay is bit-identical to
-  the DFS path (same nodes, same order, same float operations); any structural
-  change invalidates the signature and falls back to the DFS.  See
-  ``docs/performance.md``.
+* ``backward`` recycles the gradient buffers of the previous backward
+  through a free list keyed by shape and dtype, so a training loop does not
+  hand its gradient memory back to the OS every step.  Recycling copies
+  into a dead buffer, so it is bit-identical.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -92,70 +88,16 @@ def _set_internal_check_hook(hook: Callable[[np.ndarray, str], None] | None) -> 
     _INTERNAL_CHECK_HOOK = hook
 
 
-class _BackwardTape:
-    """Per-process record of tracked graph nodes in creation order.
-
-    Creation order is a valid topological order (parents exist before their
-    children), which makes positions stable step to step: as long as the
-    rolling structural signature matches, position ``i`` names "the same"
-    node of the recurring training graph.  Two caches hang off that identity,
-    keyed by ``(root position, signature at root)``:
-
-    * ``orders`` — the exact reverse-topological *processing* order of the
-      first (DFS) backward, as tape positions.  Replaying it preserves the
-      float accumulation order bit for bit; creation order alone would not
-      (a node's children may be processed in a different relative order).
-    * ``pools`` — the gradient buffer each op node filled last step, so the
-      first accumulation into a node is an in-place copy instead of a fresh
-      allocation.
-
-    The tape holds strong references, so every backward on a recorded root
-    ends by evicting it (``evict``); ``limit`` bounds growth when graphs are
-    built but never backpropagated (e.g. the numerical side of gradcheck).
-    """
-
-    __slots__ = ("enabled", "nodes", "sigs", "sig", "orders", "pools",
-                 "hits", "misses", "limit")
-
-    _MAX_ORDERS = 16
-    _MAX_POOLS = 4
-
-    def __init__(self) -> None:
-        self.enabled = True
-        self.nodes: list[Tensor] = []
-        self.sigs: list[int] = []
-        self.sig = 0
-        self.orders: dict[tuple[int, int], list[int]] = {}
-        self.pools: dict[tuple[int, int], dict[int, np.ndarray]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.limit = 250_000
-
-    def evict(self) -> None:
-        """Invalidate every recorded node and reset the signature chain."""
-        for node in self.nodes:
-            node._tape_pos = -1
-        self.nodes.clear()
-        self.sigs.clear()
-        self.sig = 0
-
-    def clear(self) -> None:
-        """Evict and drop the cached orders and buffer pools."""
-        self.evict()
-        self.orders.clear()
-        self.pools.clear()
-
-    @staticmethod
-    def trim(cache: dict, cap: int) -> None:
-        while len(cache) > cap:
-            del cache[next(iter(cache))]
-
-
-_TAPE = _BackwardTape()
-
-# While a replay backward runs, the pool of last step's gradient buffers
-# (position -> ndarray); _accumulate recycles them in place of fresh copies.
-_REPLAY_POOL: dict[int, np.ndarray] | None = None
+# Free list of gradient buffers, keyed by (shape, dtype).  Every train step
+# frees and re-allocates the same multi-megabyte gradient arrays, and glibc
+# hands freed blocks of that size back to the OS, so without recycling each
+# step pays tens of thousands of page faults.  ``backward`` replaces the
+# list with the op-node buffers it just released, so it never holds more
+# than one step's buffers; ``_accumulate`` copies into one of them before it
+# allocates.  The copy is into a dead buffer, so recycling is bit-identical.
+_GRAD_POOL: dict[tuple[tuple[int, ...], np.dtype], list[np.ndarray]] = {}
+_POOL_HITS = 0
+_POOL_MISSES = 0
 
 # Closure-level fast paths (see docs/performance.md):
 # * fast scatter — getitem backward uses `full[index] += grad` for indices
@@ -176,27 +118,21 @@ _INPLACE_GRAD = True
 
 def configure_fast_backward(
     *,
-    tape: bool | None = None,
     scatter: bool | None = None,
     fused_matmul: bool | None = None,
     inplace: bool | None = None,
 ) -> dict[str, bool]:
     """Toggle the backward fast paths; returns the *previous* configuration.
 
-    ``tape`` gates cached-order replay and gradient-buffer recycling (both
-    bit-identical to the DFS path), ``scatter`` the duplicate-free getitem
-    scatter (bit-identical), ``fused_matmul`` the flattened weight-gradient
-    GEMM (allclose-equivalent), ``inplace`` the closure-level reuse of dying
-    gradient buffers (bit-identical).  ``None`` leaves a switch unchanged.
-    Used by the equivalence tests and the before/after legs of
-    ``benchmarks/bench_train_step.py``.
+    ``scatter`` gates the duplicate-free getitem scatter (bit-identical),
+    ``fused_matmul`` the flattened weight-gradient GEMM (allclose-equivalent),
+    ``inplace`` the closure-level reuse of dying gradient buffers
+    (bit-identical).  ``None`` leaves a switch unchanged.  Gradient buffer
+    recycling is not a switch: it runs under every configuration.  Used by
+    the equivalence tests and the legs of ``benchmarks/bench_train_step.py``.
     """
     global _FAST_SCATTER, _FUSED_MATMUL_GRAD, _INPLACE_GRAD
     previous = fast_backward_config()
-    if tape is not None:
-        _TAPE.enabled = bool(tape)
-        if not tape:
-            _TAPE.clear()
     if scatter is not None:
         _FAST_SCATTER = bool(scatter)
     if fused_matmul is not None:
@@ -209,7 +145,6 @@ def configure_fast_backward(
 def fast_backward_config() -> dict[str, bool]:
     """Current fast-path switches, in ``configure_fast_backward`` keywords."""
     return {
-        "tape": _TAPE.enabled,
         "scatter": _FAST_SCATTER,
         "fused_matmul": _FUSED_MATMUL_GRAD,
         "inplace": _INPLACE_GRAD,
@@ -218,15 +153,14 @@ def fast_backward_config() -> dict[str, bool]:
 
 @contextlib.contextmanager
 def reference_backward():
-    """Context manager: run with every backward fast path disabled.
+    """Context manager: run with every backward fast-path switch off.
 
-    This is the pre-optimisation engine, byte for byte — the baseline the
-    equivalence suite compares against and the "before" leg of the train-step
-    benchmark.
+    The closures then take their reference implementations — the baseline
+    the equivalence suite compares against and the reference leg of the
+    train-step benchmark.  Gradient buffer recycling still runs: it is a
+    copy into a dead buffer, bit-identical by construction.
     """
-    previous = configure_fast_backward(
-        tape=False, scatter=False, fused_matmul=False, inplace=False
-    )
+    previous = configure_fast_backward(scatter=False, fused_matmul=False, inplace=False)
     try:
         yield
     finally:
@@ -234,13 +168,16 @@ def reference_backward():
 
 
 def backward_tape_stats() -> dict[str, int]:
-    """Counters for observability: replay hits/misses and live cache sizes."""
+    """Gradient buffer pool counters.
+
+    ``hits`` and ``misses`` count first gradient accumulations served from
+    the pool and freshly allocated, respectively; ``pooled_buffers`` is the
+    number of buffers the pool holds now.
+    """
     return {
-        "hits": _TAPE.hits,
-        "misses": _TAPE.misses,
-        "recorded_nodes": len(_TAPE.nodes),
-        "cached_orders": len(_TAPE.orders),
-        "pooled_buffers": sum(len(p) for p in _TAPE.pools.values()),
+        "hits": _POOL_HITS,
+        "misses": _POOL_MISSES,
+        "pooled_buffers": sum(len(free) for free in _GRAD_POOL.values()),
     }
 
 
@@ -268,22 +205,18 @@ _INFERENCE_MODE = False
 def inference_mode():
     """Context manager for serving-path forwards (like ``torch.inference_mode``).
 
-    Strictly stronger than :func:`no_grad`: graph recording is disabled *and*
-    the backward tape is paused, so an inference forward can never record
-    closures, grow the tape, or perturb the rolling structural signature that
-    training-step replay keys on — even if a caller forgot ``requires_grad``
-    hygiene.  The previously recorded tape (a training step awaiting
-    backward, for example) survives untouched and resumes on exit.
+    Disables graph recording like :func:`no_grad` and additionally reports
+    itself through :func:`is_inference_mode`, so an inference forward never
+    records closures even if a caller forgot ``requires_grad`` hygiene.
     """
     global _GRAD_ENABLED, _INFERENCE_MODE
-    previous = (_GRAD_ENABLED, _INFERENCE_MODE, _TAPE.enabled)
+    previous = (_GRAD_ENABLED, _INFERENCE_MODE)
     _GRAD_ENABLED = False
     _INFERENCE_MODE = True
-    _TAPE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED, _INFERENCE_MODE, _TAPE.enabled = previous
+        _GRAD_ENABLED, _INFERENCE_MODE = previous
 
 
 def is_inference_mode() -> bool:
@@ -367,12 +300,9 @@ class Tensor:
     # (repro.check.sanitizers).  Both are left *unset* on construction — they
     # cost nothing until a sanitizer is active — and are read with getattr
     # defaults (version 0, no saved snapshot).
-    # ``_tape_pos`` is the node's position in the live backward tape, or -1
-    # when unrecorded; it is only ever >= 0 while the node sits in
-    # ``_TAPE.nodes`` at exactly that index (eviction resets it).
     __slots__ = (
         "data", "grad", "requires_grad", "_parents", "_backward", "_op",
-        "_version", "_saved_versions", "_tape_pos",
+        "_version", "_saved_versions",
     )
 
     def __init__(
@@ -391,7 +321,6 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
         self._op = _op
-        self._tape_pos = -1
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -496,45 +425,20 @@ class Tensor:
         out._parents = tuple(tracked)
         out._backward = backward
         out._op = op
-        out._tape_pos = -1
-        tape = _TAPE
-        if tape.enabled:
-            # Record only when every tracked parent with a live closure is
-            # itself recorded — otherwise a cached order could silently skip
-            # an ancestor.  Parents whose closure already ran contribute
-            # nothing to backward and are safe to ignore.
-            sig = tape.sig
-            recordable = True
-            for p in tracked:
-                if p._backward is not None:
-                    pp = p._tape_pos
-                    if pp < 0:
-                        recordable = False
-                        break
-                    sig = sig * 1000003 + pp
-            if recordable:
-                if len(tape.nodes) >= tape.limit:
-                    tape.evict()  # out's parents just lost their positions
-                else:
-                    sig = (sig * 31 + hash(op) * 7919 + hash(data.shape)) \
-                        & 0xFFFFFFFFFFFFFFFF
-                    out._tape_pos = len(tape.nodes)
-                    tape.nodes.append(out)
-                    tape.sigs.append(sig)
-                    tape.sig = sig
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        global _POOL_HITS, _POOL_MISSES
         if self.grad is None:
-            pool = _REPLAY_POOL
-            if pool is not None:
-                buf = pool.pop(self._tape_pos, None)
-                if buf is not None and buf.shape == grad.shape \
-                        and buf.dtype == self.data.dtype:
-                    np.copyto(buf, grad)
-                    self.grad = buf
-                    return
-            self.grad = grad.astype(self.data.dtype, copy=True)
+            free = _GRAD_POOL.get((grad.shape, self.data.dtype))
+            if free:
+                buf = free.pop()
+                np.copyto(buf, grad)
+                self.grad = buf
+                _POOL_HITS += 1
+            else:
+                self.grad = grad.astype(self.data.dtype, copy=True)
+                _POOL_MISSES += 1
         elif self.grad.flags.carray:
             self.grad += grad
         else:
@@ -554,8 +458,8 @@ class Tensor:
         * Leaf gradients (``_op == ""``) outlive the step — the optimizer
           reads and scales them in place, and grad-accumulation users keep
           them across backwards — so a *view* is copied for leaves: its base
-          buffer belongs to an op node and is recycled by the replay pool.
-          Op-node gradients die inside ``_run_backward``, where the base is
+          buffer belongs to an op node and goes back on the gradient pool.
+          Op-node gradients die inside ``backward``, where the base is
           provably dead by the time anything writes through the view.
         * ``np.broadcast_to`` views are read-only; later accumulations fall
           back to out-of-place addition.
@@ -580,11 +484,11 @@ class Tensor:
         overwrite of it), which dies with the calling closure.
 
         Op nodes adopt the buffer outright — their gradients are consumed and
-        released inside ``_run_backward`` before the buffer could be seen
-        twice, and the replay-pool harvest deduplicates by buffer identity so
-        an adopted buffer never occupies two pool slots.  Leaves copy: their
-        gradients outlive the step while the donated buffer is recycled by
-        the pool.  A closure may donate a given buffer to at most one parent.
+        released inside ``backward`` before the buffer could be seen twice,
+        and the pool harvest deduplicates by buffer identity so an adopted
+        buffer never goes on the gradient pool twice.  Leaves copy: their
+        gradients outlive the step while the donated buffer goes back on the
+        pool.  A closure may donate a given buffer to at most one parent.
         """
         if self.grad is None:
             if self._op and grad.dtype == self.data.dtype:
@@ -622,12 +526,8 @@ class Tensor:
 
         ``grad`` defaults to ones (valid only for scalar outputs, mirroring
         the PyTorch convention).
-
-        When this tensor is recorded on the backward tape and the structural
-        signature matches a previous backward, the cached processing order is
-        replayed (bit-identical, no graph walk); otherwise the DFS runs and
-        its order is cached for next time.
         """
+        global _GRAD_POOL
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
         if grad is None:
@@ -636,92 +536,33 @@ class Tensor:
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=self.data.dtype)
 
-        tape = _TAPE
-        pos = self._tape_pos
-        if not (tape.enabled and pos >= 0):
-            self._run_backward(grad, self._reverse_topo(), None, None)
-            return
-        key = (pos, tape.sigs[pos])
-        try:
-            cached = tape.orders.get(key)
-            if cached is not None:
-                tape.hits += 1
-                nodes = tape.nodes
-                self._run_backward(
-                    grad, [nodes[i] for i in cached], tape.pools.pop(key, None), key
-                )
-            else:
-                tape.misses += 1
-                self._run_backward(grad, self._reverse_topo(), None, key)
-        finally:
-            # The tape holds strong references to every node of this step's
-            # graph; the step is over (even if a closure or sanitizer hook
-            # raised), so release them and start a fresh recording era.
-            tape.evict()
-
-    def _run_backward(
-        self,
-        grad: np.ndarray,
-        nodes: list["Tensor"],
-        pool: dict[int, np.ndarray] | None,
-        key: tuple[int, int] | None,
-    ) -> None:
-        """Shared backward loop for the DFS and replay paths.
-
-        ``nodes`` is the reverse-topological processing order.  With ``key``
-        set, the positions actually processed are cached as the replay order
-        and the op-node gradient buffers are recycled into the tape's pool.
-        """
-        global _REPLAY_POOL
-        order: list[int] = []
-        harvest: dict[int, np.ndarray] = {}
-        harvested: set[int] = set()
-        cacheable = key is not None
-        _REPLAY_POOL = pool
-        try:
-            self._accumulate(grad)
-            hook = _BACKWARD_OP_HOOK
-            for node in nodes:
-                if node._backward is not None and node.grad is not None:
-                    if hook is None:
-                        node._backward(node.grad)
-                    else:
-                        hook(node)
-                    # Free intermediate gradients and the graph eagerly; keep
-                    # leaf gradients (parameters / explicit leaves).
-                    node._backward = None
-                    node._parents = ()
-                    if node._op:
-                        buf = node.grad
-                        node.grad = None
-                        if cacheable:
-                            p = node._tape_pos
-                            if p >= 0:
-                                order.append(p)
-                                # Full reductions yield numpy scalars, not
-                                # 0-d arrays, and donated views alias another
-                                # node's buffer; only owned arrays can be
-                                # recycled.  A donated buffer surfaces as the
-                                # grad of every node in its donation chain —
-                                # the identity set keeps it in one pool slot
-                                # (ids stay unique: harvest pins each buffer).
-                                if type(buf) is np.ndarray and buf.base is None \
-                                        and id(buf) not in harvested:
-                                    harvested.add(id(buf))
-                                    harvest[p] = buf
-                            else:
-                                cacheable = False
-        finally:
-            _REPLAY_POOL = None
-        if cacheable:
-            tape = _TAPE
-            tape.orders[key] = order
-            if pool:
-                pool.update(harvest)  # keep leftovers for branches skipped this step
-                harvest = pool
-            tape.pools[key] = harvest
-            tape.trim(tape.orders, tape._MAX_ORDERS)
-            tape.trim(tape.pools, tape._MAX_POOLS)
+        released: dict[tuple[tuple[int, ...], np.dtype], list[np.ndarray]] = {}
+        seen: set[int] = set()
+        self._accumulate(grad)
+        hook = _BACKWARD_OP_HOOK
+        for node in self._reverse_topo():
+            if node._backward is not None and node.grad is not None:
+                if hook is None:
+                    node._backward(node.grad)
+                else:
+                    hook(node)
+                # Free intermediate gradients and the graph eagerly; keep
+                # leaf gradients (parameters / explicit leaves).
+                node._backward = None
+                node._parents = ()
+                if node._op:
+                    buf = node.grad
+                    node.grad = None
+                    # Full reductions yield numpy scalars, not 0-d arrays,
+                    # and donated views alias another node's buffer; only
+                    # owned arrays can be recycled.  A donated buffer is the
+                    # grad of every node in its donation chain, so it is
+                    # pooled once (ids stay unique: ``released`` pins it).
+                    if type(buf) is np.ndarray and buf.base is None \
+                            and id(buf) not in seen:
+                        seen.add(id(buf))
+                        released.setdefault((buf.shape, buf.dtype), []).append(buf)
+        _GRAD_POOL = released
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic

@@ -6,7 +6,7 @@ through a :class:`TraceListener`, every event that defines the recorded
 forward+backward program:
 
 * **node creation** — every tracked op node the engine records (the same
-  nodes the backward tape replays), with its operands and op tag;
+  nodes ``backward`` walks), with its operands and op tag;
 * **mutation** — every rebinding or in-place overwrite of a tensor's
   ``.data`` payload (:meth:`~repro.tensor.Tensor.copy_` lands here too: it
   rebinds ``.data`` internally), distinguished by kind;

@@ -1,11 +1,11 @@
 """Bit-identity of the engine fast paths and the vectorized batch gather.
 
-The cached-tape / in-place / fast-scatter backward paths and the
-sliding-window-view gather are pure performance work: they must produce
-*exactly* the same bytes as their reference implementations.  ``allclose``
-is not good enough here — the kill-and-resume equivalence contract compares
-training histories bit-for-bit, so any reordered float summation would
-surface as a spurious resume mismatch.
+The in-place / fast-scatter backward paths, the gradient buffer pool and
+the sliding-window-view gather are pure performance work: they must
+produce *exactly* the same bytes as their reference implementations.
+``allclose`` is not good enough here — the kill-and-resume equivalence
+contract compares training histories bit-for-bit, so any reordered float
+summation would surface as a spurious resume mismatch.
 
 The fused matmul path stays enabled on both legs of every comparison: it is
 an allclose-only rewrite by design (documented in docs/performance.md), so
@@ -15,6 +15,9 @@ paths.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from repro.data.windows import BatchIterator, WindowDataset
 from repro.models import build_model
 from repro.obs import FAST_CONFIG, REFERENCE_CONFIG
 from repro.optim import Adam, clip_grad_norm
+from repro.tensor import tensor as engine
 from repro.tensor import (
     Tensor,
     backward_tape_stats,
@@ -46,11 +50,13 @@ def _restore_engine_config():
     configure_fast_backward(**previous)
 
 
-def _train_steps(name, data, config, steps=2):
+def _train_steps(name, data, config, steps=2, recycle=True):
     """Run ``steps`` deterministic optimisation steps under ``config``.
 
     Returns (grads, params) as raw bytes; both must match across engine
-    configurations for the fast paths to be safe.
+    configurations for the fast paths to be safe.  ``recycle=False`` empties
+    the gradient buffer pool before every backward, so each first
+    accumulation allocates instead of copying into a recycled buffer.
     """
     configure_fast_backward(**config)
     set_seed(0)
@@ -63,12 +69,30 @@ def _train_steps(name, data, config, steps=2):
         optimizer.zero_grad()
         prediction = model(batch.x, batch.tod, batch.dow) * scaler.std + scaler.mean
         loss = F.masked_mae_loss(prediction, Tensor(batch.y))
+        if not recycle:
+            engine._GRAD_POOL.clear()
         loss.backward()
         clip_grad_norm(model.parameters(), 5.0)
         optimizer.step()
     grads = [p.grad.tobytes() for p in model.parameters()]
     params = [p.data.tobytes() for p in model.parameters()]
     return grads, params
+
+
+def _backward(model, data, batch):
+    for p in model.parameters():
+        p.grad = None
+    scaler = data.scaler
+    out = model(batch.x, batch.tod, batch.dow) * scaler.std + scaler.mean
+    F.masked_mae_loss(out, Tensor(batch.y)).backward()
+
+
+def _pooled_shapes():
+    return sorted(
+        (shape, str(dtype))
+        for (shape, dtype), free in engine._GRAD_POOL.items()
+        for _ in free
+    )
 
 
 class TestBackwardFastPaths:
@@ -79,35 +103,53 @@ class TestBackwardFastPaths:
         assert fast[0] == reference[0], f"{name}: gradients diverged"
         assert fast[1] == reference[1], f"{name}: parameter updates diverged"
 
-    def test_tape_replays_repeated_graphs(self, tiny_data):
-        """Same-shape steps hit the cached order; a shape change misses."""
-        configure_fast_backward(**FAST_CONFIG)
+
+class TestGradientPool:
+    @pytest.mark.parametrize("name", MODELS)
+    def test_recycling_is_bit_identical(self, name, tiny_data):
+        pooled = _train_steps(name, tiny_data, FAST_CONFIG)
+        fresh = _train_steps(name, tiny_data, FAST_CONFIG, recycle=False)
+        assert pooled[0] == fresh[0], f"{name}: gradients diverged"
+        assert pooled[1] == fresh[1], f"{name}: parameter updates diverged"
+
+    def test_second_backward_reuses_buffers(self, tiny_data):
         set_seed(0)
         model, _ = build_model("GraphWaveNet", tiny_data, hidden=8, layers=1)
-        scaler = tiny_data.scaler
-        batches = []
-        for batch in tiny_data.loader("train", batch_size=16, shuffle=False):
-            batches.append(batch)
-            if len(batches) == 3:
-                break
-
-        def backward(batch):
-            for p in model.parameters():
-                p.grad = None
-            out = model(batch.x, batch.tod, batch.dow) * scaler.std + scaler.mean
-            F.masked_mae_loss(out, Tensor(batch.y)).backward()
-
-        backward(batches[0])
+        batch = tiny_data.train.gather(np.arange(16))
+        _backward(model, tiny_data, batch)
         before = backward_tape_stats()
-        backward(batches[1])
-        backward(batches[2])
+        _backward(model, tiny_data, batch)
         after = backward_tape_stats()
-        assert after["hits"] >= before["hits"] + 2
+        assert after["hits"] > before["hits"]
+        assert after["pooled_buffers"] > 0
 
-        # A different batch size changes every shape: must miss, not replay.
+    def test_pool_holds_only_the_last_step(self, tiny_data):
+        set_seed(0)
+        model, _ = build_model("GraphWaveNet", tiny_data, hidden=8, layers=1)
+        large = tiny_data.train.gather(np.arange(16))
         small = tiny_data.train.gather(np.arange(4))
-        backward(small)
-        assert backward_tape_stats()["misses"] > after["misses"]
+        _backward(model, tiny_data, large)
+        after_large = _pooled_shapes()
+        _backward(model, tiny_data, small)
+        after_small = _pooled_shapes()
+        # The batch-16 step left buffers no batch-4 step uses ...
+        assert set(after_large) - set(after_small)
+        # ... and none of them survives: the pool is exactly what a steady
+        # run of batch-4 steps holds.
+        _backward(model, tiny_data, small)
+        assert _pooled_shapes() == after_small
+        assert backward_tape_stats()["pooled_buffers"] == len(after_small)
+
+    def test_unbackpropagated_graph_is_freed(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((8, 4)).astype(np.float32))
+        w = Tensor(rng.standard_normal((4, 4)).astype(np.float32), requires_grad=True)
+        h = (x @ w).tanh()
+        alive = weakref.ref(h.data)
+        loss = (h * 2).sum()
+        del h, loss
+        gc.collect()
+        assert alive() is None
 
 
 class TestVectorizedGather:

@@ -16,10 +16,12 @@ from repro.obs import (
     StdoutSink,
     TELEMETRY_SCHEMA,
     annotate_model_scopes,
+    compare_fast_reference,
     memory_high_water_mark_bytes,
     read_jsonl,
 )
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor, configure_fast_backward, fast_backward_config
+from repro.tensor import functional as F
 from repro.training import Trainer, TrainerConfig
 
 
@@ -253,3 +255,30 @@ class TestSanitizerTelemetry:
         assert trainer.config.detect_anomaly is False
         trainer.train()  # no sanitizer active: nothing to restore
         assert tensor_mod._BACKWARD_OP_HOOK is None
+
+
+class TestCompareFastReference:
+    def test_alternated_legs_and_switch_ablation(self, tiny_data):
+        before = fast_backward_config()
+        timing = compare_fast_reference(
+            FCLSTM(hidden_dim=4), tiny_data, rounds=2, batch_size=4, steps=1, warmup=0
+        )
+        assert fast_backward_config() == before
+        for leg in (timing["fast"], timing["reference"]):
+            assert leg["rounds"] == 2 and leg["steps"] == 2
+            assert leg["step_ms_min"] <= leg["step_ms_median"]
+        assert set(timing["switches"]) == {"scatter", "inplace", "fused_matmul"}
+        for switch in timing["switches"].values():
+            assert switch["off"]["rounds"] == 2
+            assert switch["speedup_end_to_end"] > 0
+
+    def test_restores_configuration_and_rejects_zero_rounds(self, tiny_data):
+        previous = configure_fast_backward(scatter=False)
+        try:
+            compare_fast_reference(FCLSTM(hidden_dim=4), tiny_data, rounds=1,
+                                   batch_size=4, steps=1, warmup=0)
+            assert fast_backward_config()["scatter"] is False
+            with pytest.raises(ValueError, match="rounds"):
+                compare_fast_reference(FCLSTM(hidden_dim=4), tiny_data, rounds=0)
+        finally:
+            configure_fast_backward(**previous)
