@@ -37,7 +37,6 @@ from repro.utils.timer import now
 MODELS = ("D2STGNN", "GraphWaveNet", "DCRNN")
 DATASET = "metr-la-sim"
 TIMED_STEPS = 4  # per leg and round
-ROUNDS = 4
 GATHER_BATCHES = 50
 GATHER_BATCH_SIZE = 64
 
@@ -134,8 +133,7 @@ def test_train_step_throughput(benchmark):
             set_seed(0)
             model, _ = build_model(name, data)
             timing = compare_fast_reference(
-                model, data, rounds=ROUNDS,
-                batch_size=profile().batch_size, steps=TIMED_STEPS, warmup=1,
+                model, data, batch_size=profile().batch_size, steps=TIMED_STEPS, warmup=1,
             )
             timing["grads_bit_identical"] = (
                 _grads_after_steps(name, data, FAST_CONFIG)

@@ -330,17 +330,16 @@ def emit_train_step() -> None:
             f"| {t['grads_bit_identical']} |"
         )
     print()
-    switches = list(next(iter(result["models"].values())).get("switches", {}))
-    if switches:
-        print("All-on end-to-end speedup over each switch turned off on its own:")
-        print()
-        print("| model | " + " | ".join(f"no `{s}`" for s in switches) + " |")
-        print("|---|" + "---|" * len(switches))
-        for name, t in result["models"].items():
-            print(f"| {name} | " + " | ".join(
-                f"{t['switches'][s]['speedup_end_to_end']:.2f}x" for s in switches
-            ) + " |")
-        print()
+    switches = list(next(iter(result["models"].values()))["switches"])
+    print("All-on end-to-end speedup over each switch turned off on its own:")
+    print()
+    print("| model | " + " | ".join(f"no `{s}`" for s in switches) + " |")
+    print("|---|" + "---|" * len(switches))
+    for name, t in result["models"].items():
+        print(f"| {name} | " + " | ".join(
+            f"{t['switches'][s]['speedup_end_to_end']:.2f}x" for s in switches
+        ) + " |")
+    print()
     g = result["gather"]
     print(
         f"* vectorized batch gather: {g['vectorized_us_per_batch']:.0f} µs/batch vs "

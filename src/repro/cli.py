@@ -710,8 +710,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preset name or a .npz written by `repro simulate`")
     p.add_argument("--model", default="D2STGNN",
                    help="model name (case-insensitive); statistical models are rejected")
-    p.add_argument("--batches", type=int, default=2, help="training steps to profile")
-    p.add_argument("--warmup", type=int, default=1, help="uninstrumented steps first")
+    p.add_argument("--batches", type=int, default=2,
+                   help="training steps to profile; with --train-step, timed steps "
+                        "per configuration per round")
+    p.add_argument("--warmup", type=int, default=1,
+                   help="uninstrumented steps first; with --train-step, repeated "
+                        "before every timed leg")
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--hidden", type=int, default=16)
     p.add_argument("--layers", type=int, default=2)

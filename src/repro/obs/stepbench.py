@@ -97,6 +97,8 @@ def time_train_steps(
 
 # The switches timed one at a time, each turned off against FAST_CONFIG.
 SWITCH_ABLATIONS = ("scatter", "inplace", "fused_matmul")
+# Alternated rounds per comparison; every leg runs once in each round.
+ROUNDS = 4
 
 
 def _pool_rounds(runs: list[dict]) -> dict:
@@ -114,10 +116,10 @@ def _pool_rounds(runs: list[dict]) -> dict:
     return pooled
 
 
-def compare_fast_reference(model, data, *, rounds: int = 4, **kwargs) -> dict:
+def compare_fast_reference(model, data, **kwargs) -> dict:
     """Time the model under the reference, fast and one-switch-off configurations.
 
-    The legs alternate: each of ``rounds`` rounds runs every leg once, as one
+    The legs alternate: each of :data:`ROUNDS` rounds runs every leg once, as one
     :func:`time_train_steps` call with ``kwargs``, rotating which leg goes
     first, and each leg pools its rounds.  Legs run back to back instead
     would let load drift between them read as a speedup or a loss.
@@ -128,8 +130,6 @@ def compare_fast_reference(model, data, *, rounds: int = 4, **kwargs) -> dict:
     its ``off`` timing and the speedups of all-on over it.  The engine
     configuration active on entry is restored afterwards.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     legs = {"reference": REFERENCE_CONFIG, "fast": FAST_CONFIG}
     for switch in SWITCH_ABLATIONS:
         legs[switch] = {**FAST_CONFIG, switch: False}
@@ -137,7 +137,7 @@ def compare_fast_reference(model, data, *, rounds: int = 4, **kwargs) -> dict:
     runs: dict[str, list[dict]] = {name: [] for name in names}
     previous = fast_backward_config()
     try:
-        for r in range(rounds):
+        for r in range(ROUNDS):
             start = r % len(names)
             for name in names[start:] + names[:start]:
                 configure_fast_backward(**legs[name])

@@ -20,6 +20,7 @@ from repro.obs import (
     memory_high_water_mark_bytes,
     read_jsonl,
 )
+from repro.obs.stepbench import ROUNDS
 from repro.tensor import Tensor, configure_fast_backward, fast_backward_config
 from repro.tensor import functional as F
 from repro.training import Trainer, TrainerConfig
@@ -259,26 +260,22 @@ class TestSanitizerTelemetry:
 
 class TestCompareFastReference:
     def test_alternated_legs_and_switch_ablation(self, tiny_data):
-        before = fast_backward_config()
         timing = compare_fast_reference(
-            FCLSTM(hidden_dim=4), tiny_data, rounds=2, batch_size=4, steps=1, warmup=0
+            FCLSTM(hidden_dim=4), tiny_data, batch_size=4, steps=1, warmup=0
         )
-        assert fast_backward_config() == before
         for leg in (timing["fast"], timing["reference"]):
-            assert leg["rounds"] == 2 and leg["steps"] == 2
+            assert leg["rounds"] == ROUNDS and leg["steps"] == ROUNDS
             assert leg["step_ms_min"] <= leg["step_ms_median"]
         assert set(timing["switches"]) == {"scatter", "inplace", "fused_matmul"}
         for switch in timing["switches"].values():
-            assert switch["off"]["rounds"] == 2
+            assert switch["off"]["rounds"] == ROUNDS
             assert switch["speedup_end_to_end"] > 0
 
-    def test_restores_configuration_and_rejects_zero_rounds(self, tiny_data):
+    def test_restores_configuration(self, tiny_data):
         previous = configure_fast_backward(scatter=False)
         try:
-            compare_fast_reference(FCLSTM(hidden_dim=4), tiny_data, rounds=1,
+            compare_fast_reference(FCLSTM(hidden_dim=4), tiny_data,
                                    batch_size=4, steps=1, warmup=0)
-            assert fast_backward_config()["scatter"] is False
-            with pytest.raises(ValueError, match="rounds"):
-                compare_fast_reference(FCLSTM(hidden_dim=4), tiny_data, rounds=0)
+            assert fast_backward_config() == {**previous, "scatter": False}
         finally:
             configure_fast_backward(**previous)
