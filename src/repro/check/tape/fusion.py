@@ -7,6 +7,9 @@ item 1) could fuse into one kernel, in three shapes the profiler's
 * ``matmul_bias_act`` / ``matmul_bias`` — a matmul whose sole consumer is
   an add/sub (bias), optionally followed by a sole-consumer activation:
   the classic GEMM-epilogue fusion;
+* ``linear_act`` — a ``linear`` (GEMM with its bias already fused in)
+  whose sole consumer is an activation: the epilogue left once every
+  ``nn.Linear`` runs as one op;
 * ``elementwise_chain`` — a run of same-shape elementwise ops linked by
   single-use intermediates (the GRU cell body in DCRNN/DGCRN/D²STGNN
   lowers to exactly these), fusable into one loop without materialising
@@ -50,7 +53,7 @@ ACTIVATION_OPS = frozenset({
 class FusionCandidate:
     """One fusable run of forward instructions."""
 
-    kind: str  # "matmul_bias_act" | "matmul_bias" | "elementwise_chain"
+    kind: str  # "matmul_bias_act" | "matmul_bias" | "linear_act" | "elementwise_chain"
     instruction_indices: list[int]
     ops: list[str]
     saved_intermediates: int  # interior values a fused kernel must keep
@@ -116,19 +119,28 @@ def find_fusion_candidates(
         )
         taken.update(instr.index for instr in chain)
 
+    def activation_of(vid: int) -> Instruction | None:
+        consumer = sole_consumer(vid)
+        if consumer is None or consumer.op not in ACTIVATION_OPS or consumer.index in taken:
+            return None
+        return consumer
+
     # 1. GEMM epilogues.
     for instr in forward:
-        if instr.op != "matmul" or instr.index in taken:
+        if instr.index in taken:
+            continue
+        if instr.op == "linear":
+            activation = activation_of(instr.defs[0])
+            if activation is not None:
+                add("linear_act", [instr, activation])
+            continue
+        if instr.op != "matmul":
             continue
         bias = sole_consumer(instr.defs[0])
         if bias is None or bias.op not in ("add", "sub") or bias.index in taken:
             continue
-        activation = sole_consumer(bias.defs[0])
-        if (
-            activation is not None
-            and activation.op in ACTIVATION_OPS
-            and activation.index not in taken
-        ):
+        activation = activation_of(bias.defs[0])
+        if activation is not None:
             add("matmul_bias_act", [instr, bias, activation])
         else:
             add("matmul_bias", [instr, bias])

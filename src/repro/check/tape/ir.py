@@ -255,6 +255,20 @@ class _ProgramBuilder(TraceListener):
             array = array.base
         return array
 
+    def _claim_buffer(self, array: np.ndarray, vid: int) -> int | None:
+        """Register ``vid`` as the owner of ``array``'s root buffer, or
+        return the vid that already owns it.
+
+        A view of a private buffer no value holds (an op's scratch result it
+        exposes only through a reshape or moveaxis view) makes its first
+        viewer the owner, so later views of the same buffer alias it.
+        """
+        root = self._root_buffer(array)
+        owner = self._buffer_vid.get(id(root))
+        if owner is None:
+            self._buffer_vid[id(root)] = vid
+        return owner
+
     def _ensure_value(
         self, tensor: Tensor, kind: str = "leaf", op: str = "", def_index: int = -1
     ) -> int:
@@ -263,13 +277,7 @@ class _ProgramBuilder(TraceListener):
             return vid
         vid = len(self.values)
         data = tensor.data
-        alias_of = None
-        if isinstance(data, np.ndarray):
-            if data.base is None:
-                self._buffer_vid[id(data)] = vid
-            else:
-                root = self._root_buffer(data)
-                alias_of = self._buffer_vid.get(id(root))
+        alias_of = self._claim_buffer(data, vid) if isinstance(data, np.ndarray) else None
         self.values.append(
             Value(
                 vid=vid,
@@ -292,12 +300,7 @@ class _ProgramBuilder(TraceListener):
 
     def _new_grad_value(self, array: np.ndarray, source_vid: int, def_index: int) -> int:
         vid = len(self.values)
-        alias_of = None
-        if array.base is None:
-            self._buffer_vid[id(array)] = vid
-        else:
-            root = self._root_buffer(array)
-            alias_of = self._buffer_vid.get(id(root))
+        alias_of = self._claim_buffer(array, vid)
         source = self.values[source_vid]
         self.values.append(
             Value(

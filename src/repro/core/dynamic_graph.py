@@ -54,30 +54,35 @@ class DynamicGraphLearner(nn.Module):
         self.w_q = nn.Linear(feature_dim, embed_dim, bias=False)
         self.w_k = nn.Linear(feature_dim, embed_dim, bias=False)
 
-    def _dynamic_features(
-        self, x: Tensor, t_day: Tensor, t_week: Tensor, node_embedding: Tensor
-    ) -> Tensor:
-        """Assemble ``DF``: (B, N, 4e), or (B, T, N, 4e) when per-step."""
+    def _shared_features(
+        self, x: Tensor, t_day: Tensor, t_week: Tensor
+    ) -> tuple[list[Tensor], tuple[int, ...]]:
+        """The blocks of ``DF`` both directions share — ``FC(X)``, ``T^D``,
+        ``T^W`` — and the feature-block shape (B, N, e), or (B, T, N, e)
+        when per-step."""
         batch, steps, num_nodes, dim = x.shape
         if self.per_step:
             dynamic = self.feature_fc(x)  # (B, T, N, e)
             shape = (batch, steps, num_nodes, self.embed_dim)
             day = t_day.expand_dims(2).broadcast_to(shape)
             week = t_week.expand_dims(2).broadcast_to(shape)
-            static = node_embedding.expand_dims(0).expand_dims(0).broadcast_to(shape)
-            return Tensor.concatenate([dynamic, day, week, static], axis=-1)
+            return [dynamic, day, week], shape
         history = x.transpose(0, 2, 1, 3).reshape(batch, num_nodes, steps * dim)
         dynamic = self.feature_fc(history)  # (B, N, e)
-        last_day = t_day[:, steps - 1].expand_dims(1).broadcast_to(
-            (batch, num_nodes, self.embed_dim)
-        )
-        last_week = t_week[:, steps - 1].expand_dims(1).broadcast_to(
-            (batch, num_nodes, self.embed_dim)
-        )
-        static = node_embedding.expand_dims(0).broadcast_to(
-            (batch, num_nodes, self.embed_dim)
-        )
-        return Tensor.concatenate([dynamic, last_day, last_week, static], axis=-1)
+        shape = (batch, num_nodes, self.embed_dim)
+        last_day = t_day[:, steps - 1].expand_dims(1).broadcast_to(shape)
+        last_week = t_week[:, steps - 1].expand_dims(1).broadcast_to(shape)
+        return [dynamic, last_day, last_week], shape
+
+    @staticmethod
+    def _dynamic_features(
+        shared: list[Tensor], shape: tuple[int, ...], node_embedding: Tensor
+    ) -> Tensor:
+        """Assemble ``DF`` from the shared blocks and one node embedding."""
+        static = node_embedding
+        for _ in range(len(shape) - static.ndim):
+            static = static.expand_dims(0)
+        return Tensor.concatenate(shared + [static.broadcast_to(shape)], axis=-1)
 
     def _mask(self, features: Tensor) -> Tensor:
         q = self.w_q(features)
@@ -101,8 +106,9 @@ class DynamicGraphLearner(nn.Module):
         time embeddings; ``node_source``/``node_target``: (N, e);
         ``p_forward``/``p_backward``: the static road-network transitions.
         """
-        df_u = self._dynamic_features(x, t_day, t_week, node_source)
-        df_d = self._dynamic_features(x, t_day, t_week, node_target)
+        shared, shape = self._shared_features(x, t_day, t_week)
+        df_u = self._dynamic_features(shared, shape, node_source)
+        df_d = self._dynamic_features(shared, shape, node_target)
         p_f_dy = Tensor(p_forward) * self._mask(df_u)
         p_b_dy = Tensor(p_backward) * self._mask(df_d)
         return p_f_dy, p_b_dy

@@ -37,6 +37,12 @@ from ..tensor.tensor import Tensor
 __all__ = ["MemoryWatermark"]
 
 
+def _root(array: object) -> object:
+    while isinstance(array, np.ndarray) and isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
 class MemoryWatermark:
     """Track allocated / live / peak bytes of op and gradient buffers.
 
@@ -68,15 +74,19 @@ class MemoryWatermark:
 
     # -- registration ---------------------------------------------------
 
-    def _register(self, array: object) -> None:
-        """Count ``array`` if it owns its buffer and was not seen before.
+    def _register(self, array: object, exclude: frozenset[int] = frozenset()) -> None:
+        """Count the root buffer of ``array`` if it was not seen before.
 
-        Views (``array.base`` chains) are skipped: either their root is an
-        already-registered op/grad buffer (whose weakref covers liveness)
-        or it belongs to a leaf/external array the watermark deliberately
-        excludes.
+        A view (``array.base`` chain) is attributed to its root: an
+        already-registered op/grad buffer (whose weakref covers liveness),
+        a private buffer an op allocated and only exposes through a view
+        (counted here, like the IR counts it), or a leaf/external payload
+        the watermark deliberately excludes — the caller passes those
+        roots' ids as ``exclude``.
         """
-        if self._closed or not isinstance(array, np.ndarray) or array.base is not None:
+        array = _root(array)
+        if self._closed or not isinstance(array, np.ndarray) \
+                or array.base is not None or id(array) in exclude:
             return
         key = id(array)
         if key in self._refs:
@@ -109,7 +119,9 @@ class MemoryWatermark:
         def watching_make(data, parents, backward, op):
             out = original_make_fn(data, parents, backward, op)
             if out._backward is not None:
-                register(out.data)
+                # An output that views a parent's payload aliases that
+                # parent; only a private buffer behind the view is new.
+                register(out.data, frozenset(id(_root(p.data)) for p in parents))
             return out
 
         Tensor._make = staticmethod(watching_make)

@@ -26,10 +26,9 @@ __all__ = [
 
 # Composite functions the op-level profiler (repro.obs) wraps by name when
 # active.  Their recorded time is *inclusive* of the primitive ops they call;
-# the thin aliases (relu/sigmoid/tanh) are excluded since they add nothing
-# over the primitive entry of the same name.
+# the thin aliases (softmax/relu/sigmoid/tanh) are excluded since they add
+# nothing over the primitive entry of the same name.
 PROFILED_COMPOSITES = (
-    "softmax",
     "log_softmax",
     "mae_loss",
     "mse_loss",
@@ -39,14 +38,8 @@ PROFILED_COMPOSITES = (
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``.
-
-    The running maximum is detached: it is a constant shift and contributes
-    zero gradient, so excluding it from the graph is exact and cheaper.
-    """
-    shift = np.max(x.data, axis=axis, keepdims=True)
-    exps = (x - Tensor(shift)).exp()
-    return exps / exps.sum(axis=axis, keepdims=True)
+    """Numerically stable softmax along ``axis`` (alias for :meth:`Tensor.softmax`)."""
+    return x.softmax(axis)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -31,6 +31,7 @@ TENSOR_OPS: tuple[tuple[str, str, bool], ...] = (
     ("__pow__", "pow", False),
     ("__matmul__", "matmul", False),
     ("__rmatmul__", "matmul", False),
+    ("linear", "linear", False),
     ("gru_cell", "gru_cell", False),
     ("__getitem__", "getitem", False),
     ("exp", "exp", False),
@@ -44,6 +45,7 @@ TENSOR_OPS: tuple[tuple[str, str, bool], ...] = (
     ("clip", "clip", False),
     ("softplus", "softplus", False),
     ("gelu", "gelu", False),
+    ("softmax", "softmax", False),
     ("sum", "sum", False),
     ("mean", "mean", False),
     ("max", "max", False),

@@ -18,7 +18,7 @@ Design notes
 * ``float32`` is the default dtype: it halves memory traffic, which dominates
   pure-numpy training time.
 * Only the primitives the models in this repository require are implemented;
-  composite functions (softmax, attention, ...) live in
+  composite functions (log-softmax, losses, ...) live in
   :mod:`repro.tensor.functional`.
 * ``backward`` recycles the gradient buffers of the previous backward
   through a free list keyed by shape and dtype, so a training loop does not
@@ -103,40 +103,32 @@ _POOL_MISSES = 0
 # * fast scatter — getitem backward uses `full[index] += grad` for indices
 #   that provably contain no duplicates (slices, ints, boolean masks);
 #   bit-identical to np.add.at, an order of magnitude faster.
-# * fused matmul grads — when the right operand of a batched matmul is a
-#   2-D weight, compute both gradients as a single flattened GEMM instead of
-#   a batched matmul followed by a broadcast-sum.  Same math, different float
-#   summation order, so it is allclose- rather than bit-equivalent.
 # * in-place grad reuse — elementwise closures overwrite the incoming
 #   gradient buffer (its consumer is done with it) instead of allocating the
 #   outgoing one, and pass-through ops (add/sub) donate the buffer itself to
 #   one parent.  Same float operations in the same order, so bit-identical.
 _FAST_SCATTER = True
-_FUSED_MATMUL_GRAD = True
 _INPLACE_GRAD = True
 
 
 def configure_fast_backward(
     *,
     scatter: bool | None = None,
-    fused_matmul: bool | None = None,
     inplace: bool | None = None,
 ) -> dict[str, bool]:
     """Toggle the backward fast paths; returns the *previous* configuration.
 
-    ``scatter`` gates the duplicate-free getitem scatter (bit-identical),
-    ``fused_matmul`` the flattened weight-gradient GEMM (allclose-equivalent),
-    ``inplace`` the closure-level reuse of dying gradient buffers
-    (bit-identical).  ``None`` leaves a switch unchanged.  Gradient buffer
-    recycling is not a switch: it runs under every configuration.  Used by
-    the equivalence tests and the legs of ``benchmarks/bench_train_step.py``.
+    ``scatter`` gates the duplicate-free getitem scatter and ``inplace`` the
+    closure-level reuse of dying gradient buffers; both are bit-identical to
+    their reference paths.  ``None`` leaves a switch unchanged.  Gradient
+    buffer recycling is not a switch: it runs under every configuration.
+    Used by the equivalence tests and the legs of
+    ``benchmarks/bench_train_step.py``.
     """
-    global _FAST_SCATTER, _FUSED_MATMUL_GRAD, _INPLACE_GRAD
+    global _FAST_SCATTER, _INPLACE_GRAD
     previous = fast_backward_config()
     if scatter is not None:
         _FAST_SCATTER = bool(scatter)
-    if fused_matmul is not None:
-        _FUSED_MATMUL_GRAD = bool(fused_matmul)
     if inplace is not None:
         _INPLACE_GRAD = bool(inplace)
     return previous
@@ -146,7 +138,6 @@ def fast_backward_config() -> dict[str, bool]:
     """Current fast-path switches, in ``configure_fast_backward`` keywords."""
     return {
         "scatter": _FAST_SCATTER,
-        "fused_matmul": _FUSED_MATMUL_GRAD,
         "inplace": _INPLACE_GRAD,
     }
 
@@ -160,7 +151,7 @@ def reference_backward():
     train-step benchmark.  Gradient buffer recycling still runs: it is a
     copy into a dead buffer, bit-identical by construction.
     """
-    previous = configure_fast_backward(scatter=False, fused_matmul=False, inplace=False)
+    previous = configure_fast_backward(scatter=False, inplace=False)
     try:
         yield
     finally:
@@ -231,15 +222,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """
     if grad.shape == shape:
         return grad
-    # Remove leading axes that broadcasting prepended.
+    # Remove leading axes that broadcasting prepended: a ones-vector GEMV
+    # over the flattened leading axes, several times faster than a
+    # leading-axis ``np.sum`` and closer to the exact sum.
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = _sum_leading(grad, grad.ndim - extra)
     # Sum over axes that were expanded from size 1.
     axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _sum_leading(array: np.ndarray, keep: int) -> np.ndarray:
+    """Sum ``array`` over all but its last ``keep`` axes, as one GEMV."""
+    tail = array.shape[array.ndim - keep:]
+    rows = array.reshape(-1, int(np.prod(tail, dtype=np.int64)))
+    return (np.ones(rows.shape[0], dtype=array.dtype) @ rows).reshape(tail)
 
 
 def _duplicate_free_index(index) -> bool:
@@ -263,17 +263,19 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function of an array.
 
     Takes ``exp`` of a non-positive value only, so neither branch can
-    overflow.  Computed with two reused temporaries; the per-element
-    formulas are x >= 0 -> 1 / (1 + e), x < 0 -> e / (1 + e), with
-    e = exp(-|x|).
+    overflow.  The per-element formulas are x >= 0 -> 1 / (1 + e),
+    x < 0 -> e / (1 + e), with e = exp(-|x|) in (0, 1].  The numerator is
+    selected without a branch: ``max(e, x >= 0)`` is 1 where x >= 0 and e
+    elsewhere (nan stays nan), which is bit-identical to an ``np.where``
+    select and several times faster on an unpredictable sign pattern.
     """
     t = np.abs(x)
     np.negative(t, out=t)
     np.exp(t, out=t)
     d = t + 1.0
-    np.divide(t, d, out=t)
-    np.divide(1.0, d, out=d)
-    return np.where(x >= 0, d, t).astype(x.dtype, copy=False)
+    np.maximum(t, x >= 0, out=t)
+    t /= d
+    return t
 
 
 def _as_array(value, dtype=None) -> np.ndarray:
@@ -846,19 +848,9 @@ class Tensor:
         out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
-            # Fused path: batched input @ 2-D weight (the Linear-layer case).
-            # One flattened GEMM replaces a batched matmul — and, for the
-            # weight, also the broadcast-sum over batch axes.
-            fused = (
-                _FUSED_MATMUL_GRAD and other.data.ndim == 2 and self.data.ndim > 2
-            )
             if self.requires_grad:
                 if other.data.ndim == 1:
                     grad_self = np.multiply.outer(grad, other.data)
-                elif fused:
-                    grad_self = (
-                        grad.reshape(-1, grad.shape[-1]) @ other.data.T
-                    ).reshape(self.data.shape)
                 else:
                     grad_self = grad @ np.swapaxes(other.data, -1, -2)
                 if self.data.ndim == 1 and grad_self.shape != self.data.shape:
@@ -869,11 +861,6 @@ class Tensor:
             if other.requires_grad:
                 if self.data.ndim == 1:
                     grad_other = np.multiply.outer(self.data, grad)
-                elif fused:
-                    grad_other = (
-                        self.data.reshape(-1, self.data.shape[-1]).T
-                        @ grad.reshape(-1, grad.shape[-1])
-                    )
                 else:
                     grad_other = np.swapaxes(self.data, -1, -2) @ grad
                 if grad_other.shape != other.data.shape:
@@ -884,6 +871,35 @@ class Tensor:
 
     def __rmatmul__(self, other) -> "Tensor":
         return self._coerce(other) @ self
+
+    def linear(self, w: "Tensor", b: "Tensor | None" = None) -> "Tensor":
+        """``self @ w + b`` on the last axis as one op (paper Eqs. 5, 8, 15).
+
+        ``w`` is a 2-D (D, O) weight and ``b`` an optional (O,) bias.  The
+        forward is the same GEMM as ``@`` with the bias added in place into
+        its output — the same float operations, so bit-identical to
+        ``x @ w + b``.  Backward is one closure over the input flattened to
+        (M, D): ``dX`` and ``dW`` are one GEMM each and ``db`` a ones-vector
+        GEMV, with no broadcast node for the bias.
+        """
+        x = self
+        out_data = x.data @ w.data
+        if b is not None:
+            out_data += b.data
+        parents = (x, w) if b is None else (x, w, b)
+
+        def backward(grad: np.ndarray) -> None:
+            g2 = grad.reshape(-1, grad.shape[-1])
+            if x.requires_grad:
+                # A view of the 2-D GEMM output: a batched ``grad @ w.T``
+                # would allocate a full-size base array per call instead.
+                x._accumulate_fresh((g2 @ w.data.T).reshape(x.data.shape))
+            if w.requires_grad:
+                w._accumulate_fresh(x.data.reshape(-1, x.data.shape[-1]).T @ g2)
+            if b is not None and b.requires_grad:
+                b._accumulate_fresh(_sum_leading(g2, 1))
+
+        return Tensor._make(out_data, parents, backward, "linear")
 
     # ------------------------------------------------------------------
     # Fused recurrent step
@@ -979,6 +995,34 @@ class Tensor:
             axes = axis if isinstance(axis, tuple) else (axis,)
             count = int(np.prod([self.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+
+    def softmax(self, axis: int = -1) -> "Tensor":
+        """Numerically stable softmax along ``axis`` as one op (paper Eq. 11).
+
+        Works on a C-contiguous copy with ``axis`` moved to the front, so
+        the max and the sum reduce over a leading axis — several times
+        faster than numpy's reductions over a short trailing axis.  The
+        shift is the exact maximum; only the summation order of the
+        denominator differs from the composite ``exp(x - max) / sum``, and
+        it does not depend on the other axes, so batched rows stay
+        bit-identical to single ones.  Backward is ``y * (g - sum(g * y))``
+        in the same layout.
+        """
+        y = np.moveaxis(self.data, axis, 0).copy(order="C")
+        y -= np.maximum.reduce(y, axis=0)
+        np.exp(y, out=y)
+        y /= np.add.reduce(y, axis=0)
+
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                g = np.moveaxis(grad, axis, 0)
+                dx = np.multiply(g, y, out=np.empty_like(y))
+                total = np.add.reduce(dx, axis=0)
+                np.subtract(g, total, out=dx)
+                dx *= y
+                self._accumulate_fresh(np.moveaxis(dx, 0, axis))
+
+        return Tensor._make(np.moveaxis(y, 0, axis), (self,), backward, "softmax")
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
@@ -1174,9 +1218,9 @@ class Tensor:
         np.exp(e, out=e)  # exp(-|x|), shared by the value and the derivative
         out_data = (np.maximum(x, 0.0) + np.log1p(e)).astype(x.dtype, copy=False)
         d = e + 1.0
-        np.divide(e, d, out=e)
-        np.divide(1.0, d, out=d)
-        sig = np.where(x >= 0, d, e)
+        np.maximum(e, x >= 0, out=e)  # the branch-free select of _stable_sigmoid
+        e /= d
+        sig = e
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:

@@ -230,6 +230,20 @@ class TestFusion:
         kinds = {c.kind for c in find_fusion_candidates(program)}
         assert "matmul_bias_act" in kinds
 
+    def test_linear_epilogue_is_detected(self):
+        w = leaf((4, 4), seed=16)
+        b = leaf((4,), seed=17)
+        x = Tensor(np.ones((2, 3, 4)))
+
+        def step():
+            return x.linear(w, b).relu().sum()
+
+        program = record_program(step)
+        candidates = [
+            c for c in find_fusion_candidates(program) if c.kind == "linear_act"
+        ]
+        assert [c.ops for c in candidates] == [["linear", "relu"]]
+
     def test_elementwise_chain_is_detected(self):
         w = leaf((4, 4), seed=12)
 
@@ -292,6 +306,7 @@ class TestAuditEndToEnd:
     def test_fusion_finds_the_gru_and_loss_chains(self, audit):
         kinds = {c.kind for c in audit.fusion}
         assert "elementwise_chain" in kinds
+        assert "linear_act" in kinds  # the MLPs' Linear -> ReLU epilogues
 
     def test_report_shapes(self, audit):
         report = tape_report_dict([audit])

@@ -6,11 +6,6 @@ produce *exactly* the same bytes as their reference implementations.
 ``allclose`` is not good enough here — the kill-and-resume equivalence
 contract compares training histories bit-for-bit, so any reordered float
 summation would surface as a spurious resume mismatch.
-
-The fused matmul path stays enabled on both legs of every comparison: it is
-an allclose-only rewrite by design (documented in docs/performance.md), so
-flipping it would compare different numerics rather than different code
-paths.
 """
 
 from __future__ import annotations

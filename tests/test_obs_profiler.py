@@ -266,7 +266,7 @@ class TestCompareFastReference:
         for leg in (timing["fast"], timing["reference"]):
             assert leg["rounds"] == ROUNDS and leg["steps"] == ROUNDS
             assert leg["step_ms_min"] <= leg["step_ms_median"]
-        assert set(timing["switches"]) == {"scatter", "inplace", "fused_matmul"}
+        assert set(timing["switches"]) == {"scatter", "inplace"}
         for switch in timing["switches"].values():
             assert switch["off"]["rounds"] == ROUNDS
             assert switch["speedup_end_to_end"] > 0
