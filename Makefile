@@ -40,13 +40,17 @@ bench-contract:
 ci: lint docs-check test-faults test bench-smoke serve-smoke serve-scale-smoke serve-chaos-smoke scenario-smoke check-tape bench-contract
 
 profile:
-	python -m repro profile --dataset metr-la-sim --model d2stgnn --out BENCH_profile.json
+	python -m repro profile --dataset metr-la-sim --model d2stgnn --out benchmarks/results/profile.json
 
 test-output:
 	pytest tests/ 2>&1 | tee test_output.txt
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# The *-smoke targets run their bench's gates at the tiny profile, which
+# writes no result file: tracked records in benchmarks/results/ come from the
+# bench/full profiles only.
 
 # Fast-path regression gate at the tiny scale: bit-identity of the backward
 # fast paths and the vectorized gather, cheap enough to run on every CI pass.
@@ -62,7 +66,7 @@ serve-smoke:
 # Sharded serving gate at the tiny scale: a K=2 loopback run asserting that
 # K=1 sharded serving stays bit-identical to the plain engine and that
 # scaling is alive; the strict throughput ratios are gated at the bench/full
-# profiles, which also write the tracked BENCH_serve_scale.json.
+# profiles, which also write benchmarks/results/serve_scale.json.
 serve-scale-smoke:
 	REPRO_BENCH_PROFILE=tiny pytest benchmarks/bench_serve_scale.py --benchmark-only -q
 
@@ -70,7 +74,8 @@ serve-scale-smoke:
 # mid-run SIGKILL asserting zero unanswered requests, at least one supervised
 # restart, and model-tier serving after the supervisor settles; the
 # unsupervised arm must stay permanently degraded on the same schedule.
-# The bench/full profiles add hang arms and write BENCH_serve_chaos.json.
+# The bench/full profiles add hang arms and write
+# benchmarks/results/serve_chaos.json.
 serve-chaos-smoke:
 	REPRO_BENCH_PROFILE=tiny pytest benchmarks/bench_serve_chaos.py --benchmark-only -q
 
@@ -79,7 +84,7 @@ serve-chaos-smoke:
 # sharded serving, asserting every request answered, the rewritten adjacency
 # published and restored, conditional MAE separating affected from
 # unaffected traffic, and quiet-day parity with replay_split; the bench/full
-# profiles write the tracked BENCH_serve_scenarios.json.
+# profiles write benchmarks/results/serve_scenarios.json.
 scenario-smoke:
 	REPRO_BENCH_PROFILE=tiny pytest benchmarks/bench_serve_scenarios.py --benchmark-only -q
 

@@ -21,8 +21,8 @@ import pytest
 
 from benchmarks.common import build_model, get_data, profile, save_results
 from benchmarks.paper_reference import FIG6_EPOCH_SECONDS
-from repro.optim import Adam, clip_grad_norm
-from repro.tensor import Tensor, functional as F
+from repro.obs import train_step
+from repro.optim import Adam
 from repro.utils.seed import set_seed
 from repro.utils.timer import now
 
@@ -46,16 +46,8 @@ def _steady_state_epoch_seconds(name: str, data) -> float:
             break
     scaler = data.scaler
 
-    def step(batch):
-        optimizer.zero_grad()
-        prediction = model(batch.x, batch.tod, batch.dow) * scaler.std + scaler.mean
-        loss = F.masked_mae_loss(prediction, Tensor(batch.y))
-        loss.backward()
-        clip_grad_norm(model.parameters(), 5.0)
-        optimizer.step()
-
     for batch in batches[:WARMUP_BATCHES]:
-        step(batch)
+        train_step(model, optimizer, batch, scaler)
     # Two timed passes, keeping the faster one: wall-clock measurements on a
     # shared host are right-skewed by background load, so min-of-passes is
     # the robust estimator of the model's intrinsic cost.
@@ -63,7 +55,7 @@ def _steady_state_epoch_seconds(name: str, data) -> float:
     for _ in range(2):
         start = now()
         for batch in batches[WARMUP_BATCHES:]:
-            step(batch)
+            train_step(model, optimizer, batch, scaler)
         elapsed = (now() - start) / max(1, len(batches) - WARMUP_BATCHES)
         per_batch = min(per_batch, elapsed)
     batches_per_epoch = int(np.ceil(len(data.train) / batch_size))

@@ -18,9 +18,8 @@ EXPERIMENTS.md); the CLI equivalent for one-off runs is ``repro profile``.
 from __future__ import annotations
 
 from benchmarks.common import build_model, get_data, profile, save_results
-from repro.obs import Profiler, annotate_model_scopes
-from repro.optim import Adam, clip_grad_norm
-from repro.tensor import Tensor, functional as F
+from repro.obs import Profiler, annotate_model_scopes, train_step
+from repro.optim import Adam
 from repro.utils.seed import set_seed
 
 MODELS = ("D2STGNN", "GraphWaveNet", "DCRNN")
@@ -44,19 +43,11 @@ def _profile_model(name: str, data) -> dict:
         if len(batches) >= WARMUP_BATCHES + PROFILED_BATCHES:
             break
 
-    def step(batch) -> None:
-        optimizer.zero_grad()
-        prediction = model(batch.x, batch.tod, batch.dow) * scaler.std + scaler.mean
-        loss = F.masked_mae_loss(prediction, Tensor(batch.y))
-        loss.backward()
-        clip_grad_norm(model.parameters(), 5.0)
-        optimizer.step()
-
     for batch in batches[:WARMUP_BATCHES]:
-        step(batch)
+        train_step(model, optimizer, batch, scaler)
     with Profiler() as prof:
         for batch in batches[WARMUP_BATCHES:]:
-            step(batch)
+            train_step(model, optimizer, batch, scaler)
 
     summary = prof.to_dict()
     summary["ops"] = summary["ops"][:TOP_K]

@@ -11,20 +11,15 @@ exact, not approximate).
 
 A full-stack replay through :class:`~repro.serve.ServingEngine` then
 records end-to-end latency percentiles, cache hit counters and a forced
-outage-degradation, landing in ``benchmarks/results/serve.json`` and the
-tracked repo-root ``BENCH_serve.json``.  The CLI equivalent for one-off
-runs is ``repro serve``.
+outage-degradation, landing in ``benchmarks/results/serve.json``.  The CLI
+equivalent for one-off runs is ``repro serve``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 import numpy as np
 
-from benchmarks.common import get_data, profile, save_results
+from benchmarks.common import get_data, profile, profile_name, save_results
 from repro.models import build_model
 from repro.serve import (
     ForecastRequest,
@@ -150,10 +145,9 @@ def test_serve_throughput(benchmark):
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    profile_name = os.environ.get("REPRO_BENCH_PROFILE", "bench").lower()
     m = results["microbatch"]
     t = results["engine"]["telemetry"]
-    print(f"\n=== Serving throughput ({MODEL} on {DATASET}, {profile_name} profile) ===")
+    print(f"\n=== Serving throughput ({MODEL} on {DATASET}, {profile_name()} profile) ===")
     print(f"micro-batch: {m['sequential_ms']:.2f} ms sequential vs "
           f"{m['batched_ms']:.2f} ms batched at batch {m['batch_size']} "
           f"(x{m['speedup']:.2f}, bit-identical: {m['bitwise_identical']})")
@@ -172,10 +166,7 @@ def test_serve_throughput(benchmark):
         "schema": "repro.bench.serve/v1",
         "dataset": DATASET,
         "model": MODEL,
-        "profile": profile_name,
+        "profile": profile_name(),
         **results,
     }
     save_results("serve", payload)
-    root = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
-    with open(root, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)

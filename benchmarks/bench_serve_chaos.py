@@ -23,20 +23,15 @@ supervised and unsupervised arms face *identical* chaos:
 Every request in every arm must be *answered* — chaos may degrade
 answers, never lose them.
 
-Results land in ``benchmarks/results/serve_chaos.json`` and (outside the
-tiny profile) the tracked repo-root ``BENCH_serve_chaos.json``.  The tiny
-profile is the ``make serve-chaos-smoke`` CI arm: a K=2 process run with
+Results land in ``benchmarks/results/serve_chaos.json``.  The tiny profile
+is the ``make serve-chaos-smoke`` CI arm: a K=2 process run with
 one kill, gating zero unanswered requests and at least one successful
 supervised restart.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
-from benchmarks.common import save_results
+from benchmarks.common import profile_name, save_results
 from repro.data import build_forecasting_data, load_dataset
 from repro.faults import ServeFaultSchedule
 from repro.models import build_model_from_parts
@@ -59,17 +54,17 @@ _SCALE = {
     "tiny": dict(
         model="STGCN", num_nodes=24, num_steps=480, hidden=8, layers=1,
         num_shards=2, steps=24, fault_window=12, hang_arm=False,
-        hang_steps=0, hang_seconds=0.0, write_root=False,
+        hang_steps=0, hang_seconds=0.0,
     ),
     "bench": dict(
         model="STGCN", num_nodes=48, num_steps=480, hidden=16, layers=1,
         num_shards=4, steps=60, fault_window=30, hang_arm=True,
-        hang_steps=40, hang_seconds=3.0, write_root=True,
+        hang_steps=40, hang_seconds=3.0,
     ),
     "full": dict(
         model="STGCN", num_nodes=48, num_steps=480, hidden=16, layers=1,
         num_shards=4, steps=80, fault_window=30, hang_arm=True,
-        hang_steps=60, hang_seconds=3.0, write_root=True,
+        hang_steps=60, hang_seconds=3.0,
     ),
 }
 
@@ -183,8 +178,8 @@ def _bench_identity(bundle, data) -> bool:
 
 
 def test_serve_chaos(benchmark):
-    profile_name = os.environ.get("REPRO_BENCH_PROFILE", "bench").lower()
-    cfg = _SCALE[profile_name]
+    profile = profile_name()
+    cfg = _SCALE[profile]
     set_seed(0)
     data = build_forecasting_data(
         load_dataset(DATASET, num_nodes=cfg["num_nodes"], num_steps=cfg["num_steps"])
@@ -243,7 +238,7 @@ def test_serve_chaos(benchmark):
     sup, unsup = results["kill_supervised"], results["kill_unsupervised"]
     print(f"\n=== Serving chaos ({cfg['model']} on {DATASET}, "
           f"N={cfg['num_nodes']}, K={cfg['num_shards']} process workers, "
-          f"{profile_name} profile) ===")
+          f"{profile} profile) ===")
     print(f"kill @ request {sup['fault_request']}: "
           f"supervised availability {sup['availability_model']:.2f} "
           f"(recovered after {sup['recovery_requests']} requests, "
@@ -281,7 +276,7 @@ def test_serve_chaos(benchmark):
     assert unsup["settled_source"] == "fallback", (
         "unsupervised arm recovered without supervision — the kill never landed?"
     )
-    if profile_name != "tiny":
+    if profile != "tiny":
         # In-run recovery timing: only the larger profiles leave the
         # supervisor enough post-kill requests to gate wall-clock recovery.
         assert sup["recovery_requests"] is not None, (
@@ -301,7 +296,7 @@ def test_serve_chaos(benchmark):
         "schema": "repro.bench.serve_chaos/v1",
         "dataset": DATASET,
         "model": cfg["model"],
-        "profile": profile_name,
+        "profile": profile,
         "num_nodes": cfg["num_nodes"],
         "num_shards": cfg["num_shards"],
         "op_timeouts_s": dict(_OP_TIMEOUTS),
@@ -309,7 +304,3 @@ def test_serve_chaos(benchmark):
         **results,
     }
     save_results("serve_chaos", payload)
-    if cfg["write_root"]:
-        root = Path(__file__).resolve().parent.parent / "BENCH_serve_chaos.json"
-        with open(root, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)

@@ -18,22 +18,17 @@ Measures the three claims ``docs/scaling.md`` makes for the sharded stack
    admission control shedding (``max_inflight`` set) and without — and the
    shedding arm must come out with the lower p99.
 
-Results land in ``benchmarks/results/serve_scale.json`` and (outside the
-tiny profile) the tracked repo-root ``BENCH_serve_scale.json``.  The tiny
-profile is the ``make serve-scale-smoke`` CI arm: a small loopback run that
+Results land in ``benchmarks/results/serve_scale.json``.  The tiny profile
+is the ``make serve-scale-smoke`` CI arm: a small loopback run that
 asserts the identity and that scaling is alive, without gating on exact
 ratios the CI box cannot reproduce.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 import numpy as np
 
-from benchmarks.common import save_results
+from benchmarks.common import profile_name, save_results
 from repro.data import build_forecasting_data, load_dataset
 from repro.models import build_model_from_parts
 from repro.serve import (
@@ -64,19 +59,16 @@ _SCALE = {
         model="STGCN", num_nodes=48, num_steps=480, hidden=16, layers=1,
         shard_counts=(1, 2), transport="loopback", steps=6,
         overload_duration_s=0.8, speedup_k2_gate=0.3, monotone_gate=False,
-        write_root=False,
     ),
     "bench": dict(
         model="DCRNN", num_nodes=768, num_steps=576, hidden=16, layers=1,
         shard_counts=(1, 2, 4), transport="process", steps=6,
         overload_duration_s=2.0, speedup_k2_gate=1.8, monotone_gate=True,
-        write_root=True,
     ),
     "full": dict(
         model="DCRNN", num_nodes=768, num_steps=576, hidden=16, layers=1,
         shard_counts=(1, 2, 4), transport="process", steps=10,
         overload_duration_s=3.0, speedup_k2_gate=1.8, monotone_gate=True,
-        write_root=True,
     ),
 }
 
@@ -170,8 +162,8 @@ def _bench_overload(bundle, data, cfg, capacity_rps: float) -> dict:
 
 
 def test_serve_scale(benchmark):
-    profile_name = os.environ.get("REPRO_BENCH_PROFILE", "bench").lower()
-    cfg = _SCALE[profile_name]
+    profile = profile_name()
+    cfg = _SCALE[profile]
     set_seed(0)
     data = build_forecasting_data(
         load_dataset(DATASET, num_nodes=cfg["num_nodes"], num_steps=cfg["num_steps"])
@@ -208,7 +200,7 @@ def test_serve_scale(benchmark):
 
     print(f"\n=== Sharded serving scale ({cfg['model']} on {DATASET}, "
           f"N={cfg['num_nodes']}, {cfg['transport']} transport, "
-          f"{profile_name} profile) ===")
+          f"{profile} profile) ===")
     for k, row in results["throughput"].items():
         speedup = results["speedups"].get(k)
         note = f" (x{speedup:.2f} vs K=1)" if speedup else ""
@@ -244,7 +236,7 @@ def test_serve_scale(benchmark):
         "schema": "repro.bench.serve_scale/v1",
         "dataset": DATASET,
         "model": cfg["model"],
-        "profile": profile_name,
+        "profile": profile,
         "num_nodes": cfg["num_nodes"],
         "transport": cfg["transport"],
         "partition": {
@@ -258,7 +250,3 @@ def test_serve_scale(benchmark):
         **results,
     }
     save_results("serve_scale", payload)
-    if cfg["write_root"]:
-        root = Path(__file__).resolve().parent.parent / "BENCH_serve_scale.json"
-        with open(root, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)

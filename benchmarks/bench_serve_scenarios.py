@@ -18,20 +18,15 @@ and gates the ``repro.serve.scenario/v1`` report:
 4. **Replay parity.**  The empty ``quiet-day`` scenario answers requests
    from exactly the same sources as the existing ``replay_split`` path.
 
-Results land in ``benchmarks/results/serve_scenarios.json`` and (outside
-the tiny profile) the tracked repo-root ``BENCH_serve_scenarios.json``.
-The tiny profile is the ``make scenario-smoke`` CI arm.
+Results land in ``benchmarks/results/serve_scenarios.json``.  The tiny
+profile is the ``make scenario-smoke`` CI arm.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 import numpy as np
 
-from benchmarks.common import save_results
+from benchmarks.common import profile_name, save_results
 from repro.data import build_forecasting_data, load_dataset
 from repro.data.events import Scenario, event_scenario
 from repro.models import build_model_from_parts
@@ -49,15 +44,15 @@ DATASET = "metr-la-sim"
 _SCALE = {
     "tiny": dict(
         model="STGCN", num_nodes=16, num_steps=480, hidden=8, layers=1,
-        num_shards=2, steps=24, requests_per_step=2, write_root=False,
+        num_shards=2, steps=24, requests_per_step=2,
     ),
     "bench": dict(
         model="STGCN", num_nodes=32, num_steps=600, hidden=16, layers=1,
-        num_shards=2, steps=48, requests_per_step=4, write_root=True,
+        num_shards=2, steps=48, requests_per_step=4,
     ),
     "full": dict(
         model="STGCN", num_nodes=48, num_steps=600, hidden=16, layers=1,
-        num_shards=4, steps=64, requests_per_step=4, write_root=True,
+        num_shards=4, steps=64, requests_per_step=4,
     ),
 }
 
@@ -72,8 +67,8 @@ def _engine(bundle, cfg) -> ShardedServingEngine:
 
 
 def test_serve_scenarios(benchmark):
-    profile_name = os.environ.get("REPRO_BENCH_PROFILE", "bench").lower()
-    cfg = _SCALE[profile_name]
+    profile = profile_name()
+    cfg = _SCALE[profile]
     set_seed(0)
     data = build_forecasting_data(
         load_dataset(DATASET, num_nodes=cfg["num_nodes"], num_steps=cfg["num_steps"])
@@ -124,7 +119,7 @@ def test_serve_scenarios(benchmark):
 
     print(f"\n=== Scenario serving ({cfg['model']} on {DATASET}, "
           f"N={cfg['num_nodes']}, K={cfg['num_shards']} loopback shards, "
-          f"{profile_name} profile) ===")
+          f"{profile} profile) ===")
     print(f"closure-rush: {len(report['events'])} events, "
           f"{serving['requests']} requests, availability {availability:.2f}, "
           f"fallback rate {serving['fallback_rate']:.2f}")
@@ -171,7 +166,7 @@ def test_serve_scenarios(benchmark):
     payload = {
         "schema": "repro.bench.serve_scenarios/v1",
         "dataset": DATASET,
-        "profile": profile_name,
+        "profile": profile,
         "model": cfg["model"],
         "num_nodes": cfg["num_nodes"],
         "num_shards": cfg["num_shards"],
@@ -181,7 +176,3 @@ def test_serve_scenarios(benchmark):
         "scenario": report,
     }
     save_results("serve_scenarios", payload)
-    if cfg["write_root"]:
-        root = Path(__file__).resolve().parent.parent / "BENCH_serve_scenarios.json"
-        with open(root, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)

@@ -9,8 +9,8 @@ paths must be *bit-identical* to their slow counterparts — that is asserted
 here on top of the dedicated equivalence suite
 (``tests/test_fast_path_equivalence.py``).
 
-Results land in ``benchmarks/results/train_step.json`` and the tracked
-repo-root ``BENCH_train_step.json`` (summarised in EXPERIMENTS.md); the CLI
+Results land in ``benchmarks/results/train_step.json`` (summarised in
+EXPERIMENTS.md); the CLI
 equivalent for one-off runs is ``repro profile --train-step``.  The
 ``seed_baseline`` block records a one-time A/B measurement against the
 pre-fast-path tree, which the self-contained toggle comparison understates
@@ -20,17 +20,12 @@ not behind toggles); see docs/performance.md.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 import numpy as np
 
-from benchmarks.common import build_model, get_data, profile, save_results
-from repro.obs import compare_fast_reference, FAST_CONFIG, REFERENCE_CONFIG
-from repro.optim import Adam, clip_grad_norm
-from repro.tensor import Tensor, configure_fast_backward, fast_backward_config
-from repro.tensor import functional as F
+from benchmarks.common import build_model, get_data, profile, profile_name, save_results
+from repro.obs import compare_fast_reference, FAST_CONFIG, REFERENCE_CONFIG, train_step
+from repro.optim import Adam
+from repro.tensor import configure_fast_backward, fast_backward_config
 from repro.utils.seed import set_seed
 from repro.utils.timer import now
 
@@ -74,17 +69,10 @@ def _grads_after_steps(name: str, data, config: dict, steps: int = 2) -> list[by
         set_seed(0)
         model, _ = build_model(name, data)
         optimizer = Adam(model.parameters(), lr=1e-3)
-        scaler = data.scaler
         loader = data.loader("train", batch_size=profile().batch_size, shuffle=False)
         iterator = iter(loader)
         for _ in range(steps):
-            batch = next(iterator)
-            optimizer.zero_grad()
-            prediction = model(batch.x, batch.tod, batch.dow) * scaler.std + scaler.mean
-            loss = F.masked_mae_loss(prediction, Tensor(batch.y))
-            loss.backward()
-            clip_grad_norm(model.parameters(), 5.0)
-            optimizer.step()
+            train_step(model, optimizer, next(iterator), data.scaler)
         return [p.grad.tobytes() for p in model.parameters()]
     finally:
         configure_fast_backward(**previous)
@@ -144,8 +132,7 @@ def test_train_step_throughput(benchmark):
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    profile_name = os.environ.get("REPRO_BENCH_PROFILE", "bench").lower()
-    print(f"\n=== Train-step throughput ({DATASET}, {profile_name} profile) ===")
+    print(f"\n=== Train-step throughput ({DATASET}, {profile_name()} profile) ===")
     print(f"{'model':<14} {'fast ms':>9} {'ref ms':>9} {'e2e x':>7} "
           f"{'fast bwd us':>12} {'ref bwd us':>12} {'bwd x':>7}")
     for name in MODELS:
@@ -178,14 +165,8 @@ def test_train_step_throughput(benchmark):
     payload = {
         "schema": "repro.bench.train_step/v1",
         "dataset": DATASET,
-        "profile": profile_name,
+        "profile": profile_name(),
         "seed_baseline": SEED_BASELINE,
         **results,
     }
     save_results("train_step", payload)
-    # The tracked repo-root baseline is a bench-profile artifact; smoke runs
-    # at other scales (make bench-smoke) must not overwrite it.
-    if profile_name == "bench":
-        root = Path(__file__).resolve().parent.parent / "BENCH_train_step.json"
-        with open(root, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)

@@ -7,7 +7,9 @@ each bench prints the paper's reference numbers next to the measured ones so
 the *shape* of the result (who wins, by how much, where crossovers fall) can
 be compared directly.  See EXPERIMENTS.md for the recorded comparison.
 
-Scale is controlled by ``REPRO_BENCH_PROFILE`` (tiny | bench | full).
+Scale is controlled by ``REPRO_BENCH_PROFILE`` (tiny | bench | full), read
+here and nowhere else.  Tracked results live in ``benchmarks/results/``; a
+``tiny`` run (the CI smoke profile) writes nothing there.
 """
 
 from __future__ import annotations
@@ -71,9 +73,18 @@ _PROFILES = {
 }
 
 
-def profile() -> BenchProfile:
+def profile_name() -> str:
+    """The active profile's name, from ``REPRO_BENCH_PROFILE`` (default ``bench``)."""
     name = os.environ.get("REPRO_BENCH_PROFILE", "bench").lower()
-    return _PROFILES[name]
+    if name not in _PROFILES:
+        raise ValueError(
+            f"unknown REPRO_BENCH_PROFILE {name!r}; expected one of {sorted(_PROFILES)}"
+        )
+    return name
+
+
+def profile() -> BenchProfile:
+    return _PROFILES[profile_name()]
 
 
 _DATA_CACHE: dict[str, ForecastingData] = {}
@@ -183,8 +194,14 @@ def train_and_evaluate(
 # Reporting
 # ---------------------------------------------------------------------------
 
-def save_results(bench_name: str, payload: dict) -> Path:
-    """Persist a benchmark's measurements for EXPERIMENTS.md."""
+def save_results(bench_name: str, payload: dict) -> Path | None:
+    """Persist a benchmark's measurements to ``results/<bench_name>.json``.
+
+    The one writer of tracked bench records.  A ``tiny`` run is a smoke
+    gate, not a measurement, so it writes nothing and returns ``None``.
+    """
+    if profile_name() == "tiny":
+        return None
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{bench_name}.json"
     with open(path, "w") as handle:

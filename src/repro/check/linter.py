@@ -29,11 +29,12 @@ R007      no per-sample Python loops over batch indices inside the data
           and training packages — batches must be assembled with one
           vectorized gather (fancy indexing), not a ``for i in
           indices`` / ``range(num_samples)`` loop, which dominates the
-          train-step time (see BENCH_train_step.json)
+          train-step time (see benchmarks/results/train_step.json)
 R008      no model forwards inside :mod:`repro.serve` outside the
           micro-batcher — every serving-path forward must flow through
           ``microbatch.py`` so requests coalesce into one batched pass
-          and the throughput gate in ``BENCH_serve.json`` stays honest
+          and the throughput gate in ``benchmarks/results/serve.json``
+          stays honest
 R009      no model forwards in the sharded serving modules (router,
           transport, shard, loadgen) — requests must cross the
           engine/transport seam as ops and forwards stay inside each

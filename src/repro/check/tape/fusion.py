@@ -2,7 +2,7 @@
 
 Finds adjacent forward instructions a tape-compiling executor (ROADMAP
 item 1) could fuse into one kernel, in three shapes the profiler's
-``BENCH_profile.json`` breakdown shows are hot:
+``benchmarks/results/profile.json`` breakdown shows are hot:
 
 * ``matmul_bias_act`` / ``matmul_bias`` — a matmul whose sole consumer is
   an add/sub (bias), optionally followed by a sole-consumer activation:

@@ -157,11 +157,12 @@ def cmd_profile(args) -> int:
     With ``--train-step`` it instead times full optimisation steps under the
     engine's fast and reference backward configurations and with each
     fast-path switch off (:func:`repro.obs.compare_fast_reference`) and writes
-    ``BENCH_train_step.json`` (schema ``repro.obs.train_step/v1``).
+    schema ``repro.obs.train_step/v1`` to ``--out``.  Both default ``--out``
+    paths (``BENCH_profile.json``, ``BENCH_train_step.json``) are one-off,
+    untracked records; the tracked ones live in ``benchmarks/results/``.
     """
-    from .obs import Profiler, annotate_model_scopes, compare_fast_reference
-    from .optim import Adam, clip_grad_norm
-    from .tensor import Tensor, functional as F
+    from .obs import Profiler, annotate_model_scopes, compare_fast_reference, train_step
+    from .optim import Adam
 
     name = _canonical_model(args.model)
     if name in STATISTICAL:
@@ -217,20 +218,12 @@ def cmd_profile(args) -> int:
         if len(batches) >= args.warmup + args.batches:
             break
 
-    def step(batch) -> None:
-        optimizer.zero_grad()
-        prediction = model(batch.x, batch.tod, batch.dow) * scaler.std + scaler.mean
-        loss = F.masked_mae_loss(prediction, Tensor(batch.y))
-        loss.backward()
-        clip_grad_norm(model.parameters(), 5.0)
-        optimizer.step()
-
     for batch in batches[: args.warmup]:
-        step(batch)
+        train_step(model, optimizer, batch, scaler)
     profiled = batches[args.warmup :]
     with Profiler() as prof:
         for batch in profiled:
-            step(batch)
+            train_step(model, optimizer, batch, scaler)
 
     print(f"profiled {len(profiled)} training steps of {name} on {args.dataset} "
           f"(batch size {args.batch_size}, {model.num_parameters():,} parameters)\n")

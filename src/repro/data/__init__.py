@@ -7,7 +7,6 @@ from .datasets import (
     TrafficDataset,
     build_forecasting_data,
     load_dataset,
-    scale_profile,
 )
 from . import io
 from .events import (
@@ -64,7 +63,6 @@ __all__ = [
     "event_scenario",
     "io",
     "load_dataset",
-    "scale_profile",
     "scenario_config",
     "seeded_events",
     "simulate_traffic",

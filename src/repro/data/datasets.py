@@ -8,7 +8,6 @@ side (used by ``benchmarks/bench_table2_datasets.py`` and EXPERIMENTS.md).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,7 +30,6 @@ __all__ = [
     "PRESETS",
     "load_dataset",
     "build_forecasting_data",
-    "scale_profile",
 ]
 
 
@@ -50,7 +48,7 @@ class DatasetSpec:
     reference_steps: int
 
     def scaled(self, num_nodes: int | None = None, num_steps: int | None = None) -> "DatasetSpec":
-        """Return a copy with overridden size (used by the scale profiles)."""
+        """Return a copy with overridden size."""
         changes = {}
         if num_nodes is not None:
             changes["num_nodes"] = num_nodes
@@ -59,7 +57,7 @@ class DatasetSpec:
         return replace(self, **changes) if changes else self
 
 
-# Paper Table 2 reference statistics; simulated sizes are the `bench` profile.
+# Paper Table 2 reference statistics next to the simulated default sizes.
 PRESETS: dict[str, DatasetSpec] = {
     "metr-la-sim": DatasetSpec(
         name="metr-la-sim", kind="speed", num_nodes=20, num_steps=2304,
@@ -81,21 +79,6 @@ PRESETS: dict[str, DatasetSpec] = {
         split=FLOW_SPLIT, seed=104,
         reference_nodes=170, reference_edges=548, reference_steps=17856,
     ),
-}
-
-
-def scale_profile() -> str:
-    """Profile selected via ``REPRO_BENCH_PROFILE`` (tiny | bench | full)."""
-    profile = os.environ.get("REPRO_BENCH_PROFILE", "bench").lower()
-    if profile not in ("tiny", "bench", "full"):
-        raise ValueError(f"unknown REPRO_BENCH_PROFILE {profile!r}")
-    return profile
-
-
-_PROFILE_SIZES = {
-    "tiny": (10, 1200),
-    "bench": (None, None),  # preset defaults
-    "full": (56, 8064),
 }
 
 
@@ -140,11 +123,7 @@ def load_dataset(
     """
     if name not in PRESETS:
         raise KeyError(f"unknown dataset {name!r}; available: {sorted(PRESETS)}")
-    profile_nodes, profile_steps = _PROFILE_SIZES[scale_profile()]
-    spec = PRESETS[name].scaled(
-        num_nodes=num_nodes if num_nodes is not None else profile_nodes,
-        num_steps=num_steps if num_steps is not None else profile_steps,
-    )
+    spec = PRESETS[name].scaled(num_nodes=num_nodes, num_steps=num_steps)
     rng = np.random.default_rng(seed if seed is not None else spec.seed)
     network = generate_road_network(spec.num_nodes, rng)
     config = SimulationConfig()

@@ -17,8 +17,9 @@ against (see ``docs/observability.md``):
 * :mod:`repro.obs.telemetry` — the telemetry record schema, in one place.
 
 Entry points: ``with Profiler() as prof: ...`` in code, ``repro profile``
-on the command line, ``benchmarks/bench_profile_ops.py`` for the tracked
-``BENCH_profile.json`` baseline.
+on the command line (``make profile`` refreshes the tracked
+``benchmarks/results/profile.json``), ``benchmarks/bench_profile_ops.py``
+for the top-k summary in ``benchmarks/results/profile_ops.json``.
 """
 
 from .memory import MemoryWatermark
@@ -29,10 +30,12 @@ from .stepbench import (
     REFERENCE_CONFIG,
     compare_fast_reference,
     time_train_steps,
+    train_step,
 )
 from .telemetry import (
     TELEMETRY_SCHEMA,
     epoch_record,
+    latency_summary_ms,
     memory_high_water_mark_bytes,
     recovery_record,
     resume_record,
@@ -56,6 +59,7 @@ __all__ = [
     "annotate_model_scopes",
     "compare_fast_reference",
     "epoch_record",
+    "latency_summary_ms",
     "recovery_record",
     "resume_record",
     "memory_high_water_mark_bytes",
@@ -64,4 +68,5 @@ __all__ = [
     "serving_record",
     "time_train_steps",
     "train_end_record",
+    "train_step",
 ]

@@ -23,13 +23,37 @@ from ..tensor import Tensor, configure_fast_backward, fast_backward_config
 from ..tensor import functional as F
 from ..utils.timer import now
 
-__all__ = ["FAST_CONFIG", "REFERENCE_CONFIG", "compare_fast_reference", "time_train_steps"]
+__all__ = [
+    "FAST_CONFIG",
+    "REFERENCE_CONFIG",
+    "compare_fast_reference",
+    "time_train_steps",
+    "train_step",
+]
 
 # The engine's fast backward paths, and the reference ("slow") configuration
 # they are measured against.  Both switches are bit-identical rewrites, so
 # the two legs must produce the same gradients.
 FAST_CONFIG = {"scatter": True, "inplace": True}
 REFERENCE_CONFIG = {"scatter": False, "inplace": False}
+
+
+def train_step(model, optimizer, batch, scaler, grad_clip: float = 5.0) -> float:
+    """Run one optimisation step on ``batch``; return the backward's seconds.
+
+    The step every training harness here times: zero grads, forward with the
+    prediction unscaled to raw units, masked MAE, backward, clip to
+    ``grad_clip``, optimizer update.
+    """
+    optimizer.zero_grad()
+    prediction = model(batch.x, batch.tod, batch.dow) * scaler.std + scaler.mean
+    loss = F.masked_mae_loss(prediction, Tensor(batch.y))
+    begin = now()
+    loss.backward()
+    backward = now() - begin
+    clip_grad_norm(model.parameters(), grad_clip)
+    optimizer.step()
+    return backward
 
 
 def time_train_steps(
@@ -61,15 +85,7 @@ def time_train_steps(
 
     def step(i: int) -> float:
         batch = subset.gather(order[(i * batch_size) % span :][:batch_size])
-        optimizer.zero_grad()
-        prediction = model(batch.x, batch.tod, batch.dow) * scaler.std + scaler.mean
-        loss = F.masked_mae_loss(prediction, Tensor(batch.y))
-        begin = now()
-        loss.backward()
-        backward = now() - begin
-        clip_grad_norm(model.parameters(), grad_clip)
-        optimizer.step()
-        return backward
+        return train_step(model, optimizer, batch, scaler, grad_clip)
 
     for i in range(warmup):
         step(i)

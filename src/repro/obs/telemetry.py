@@ -7,7 +7,8 @@ is documented for consumers in ``docs/observability.md``.
 
 Every record carries ``schema`` (:data:`TELEMETRY_SCHEMA`) and ``event``
 (``"epoch"``, ``"train_end"``, ``"sanitizer"``, ``"recovery"``,
-``"resume"`` or ``"serving"``) keys.
+``"resume"`` or ``"serving"``) keys.  :func:`latency_summary_ms` is the one
+latency summary every serving report uses.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from __future__ import annotations
 import resource
 import sys
 
+import numpy as np
+
 __all__ = [
     "TELEMETRY_SCHEMA",
     "epoch_record",
+    "latency_summary_ms",
     "recovery_record",
     "resume_record",
     "sanitizer_record",
@@ -188,6 +192,23 @@ def serving_record(
         "served_by_cache": served_by_cache,
         "active_version": active_version,
         "memory_peak_bytes": memory_high_water_mark_bytes(),
+    }
+
+
+def latency_summary_ms(latencies_s) -> dict:
+    """p50 / p95 / p99 and mean of request latencies, seconds in, milliseconds out.
+
+    Percentiles are ``np.percentile``'s default linear interpolation; an
+    empty sample summarises to zeros.
+    """
+    latencies_ms = np.asarray(latencies_s, dtype=np.float64) * 1000.0
+    if latencies_ms.size == 0:
+        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0}
+    return {
+        "p50": float(np.percentile(latencies_ms, 50)),
+        "p95": float(np.percentile(latencies_ms, 95)),
+        "p99": float(np.percentile(latencies_ms, 99)),
+        "mean": float(latencies_ms.mean()),
     }
 
 

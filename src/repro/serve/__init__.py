@@ -42,8 +42,8 @@ rewrites (``repro scenario run``; events from :mod:`repro.data.events`),
 injects serving chaos from :mod:`repro.faults.serving`),
 ``benchmarks/bench_serve.py``, ``benchmarks/bench_serve_scale.py``,
 ``benchmarks/bench_serve_chaos.py`` and
-``benchmarks/bench_serve_scenarios.py`` for the tracked
-``BENCH_serve*.json`` gates.
+``benchmarks/bench_serve_scenarios.py`` for the gates tracked in
+``benchmarks/results/serve*.json``.
 """
 
 from .cache import PredictionCache

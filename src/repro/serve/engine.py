@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..check.sanitizers import AnomalyError
-from ..obs.telemetry import serving_record
+from ..obs.telemetry import latency_summary_ms, serving_record
 from ..utils.timer import now
 from .cache import PredictionCache
 from .degrade import DegradationPolicy, SupervisionPolicy, fallback_forecast
@@ -255,22 +255,18 @@ class EngineCore:
         batcher = self.batcher.stats()
         cache = self.cache.stats()
         with self._lock:
-            latencies_ms = np.asarray(self._latencies, dtype=np.float64) * 1000.0
+            latencies_s = list(self._latencies)
             fallback_reasons = dict(self._fallback_reasons)
             served_by_model = self._served_by_model
             served_by_cache = self._served_by_cache
-        percentile = (
-            (lambda q: float(np.percentile(latencies_ms, q)))
-            if latencies_ms.size
-            else (lambda q: 0.0)
-        )
+        latency = latency_summary_ms(latencies_s)
         return serving_record(
-            requests=int(latencies_ms.size),
+            requests=len(latencies_s),
             batches=batcher["batches"],
             mean_batch_size=batcher["mean_batch_size"],
-            latency_ms_p50=percentile(50),
-            latency_ms_p95=percentile(95),
-            latency_ms_p99=percentile(99),
+            latency_ms_p50=latency["p50"],
+            latency_ms_p95=latency["p95"],
+            latency_ms_p99=latency["p99"],
             queue_depth_max=batcher["queue_depth_max"],
             cache_hits=cache["hits"],
             cache_misses=cache["misses"],

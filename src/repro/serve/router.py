@@ -45,7 +45,7 @@ import threading
 
 import numpy as np
 
-from ..obs.telemetry import serving_record
+from ..obs.telemetry import latency_summary_ms, serving_record
 from ..utils.timer import now
 from .degrade import fallback_forecast
 from .engine import ForecastResult, ServeConfig
@@ -508,20 +508,16 @@ class ShardedServingEngine:
             else:
                 shards.append(outcome)
         with self._state_lock:
-            latencies_ms = np.asarray(self._latencies, dtype=np.float64) * 1000.0
+            latencies_s = list(self._latencies)
             sources = dict(self._sources)
             fallback_reasons = dict(self._fallback_reasons)
             shed = self._shed
             partial = self._partial_fallbacks
             shard_faults = [dict(counts) for counts in self._shard_faults]
             version = self.active_version
-        percentile = (
-            (lambda q: float(np.percentile(latencies_ms, q)))
-            if latencies_ms.size
-            else (lambda q: 0.0)
-        )
+        latency = latency_summary_ms(latencies_s)
         batches = sum(s["batches"] for s in shards)
-        requests = int(latencies_ms.size)
+        requests = len(latencies_s)
         cache_hits = sum(s["cache_hits"] for s in shards)
         cache_misses = sum(s["cache_misses"] for s in shards)
         lookups = cache_hits + cache_misses
@@ -532,9 +528,9 @@ class ShardedServingEngine:
                 sum(s["batches"] * s["mean_batch_size"] for s in shards) / batches
                 if batches else 0.0
             ),
-            latency_ms_p50=percentile(50),
-            latency_ms_p95=percentile(95),
-            latency_ms_p99=percentile(99),
+            latency_ms_p50=latency["p50"],
+            latency_ms_p95=latency["p95"],
+            latency_ms_p99=latency["p99"],
             queue_depth_max=max((s["queue_depth_max"] for s in shards), default=0),
             cache_hits=cache_hits,
             cache_misses=cache_misses,

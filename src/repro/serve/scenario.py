@@ -44,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from ..data.events import AppliedScenario, Scenario, apply_events
+from ..obs.telemetry import latency_summary_ms
 from ..training.metrics import compute_all
 
 __all__ = ["SCENARIO_SCHEMA", "ScenarioRunResult", "run_scenario", "save_scenario_report"]
@@ -82,18 +83,6 @@ def _publish(engine, bundle) -> str:
     return engine.registry.publish(bundle)
 
 
-def _percentiles_ms(latencies_s: list[float]) -> dict:
-    latencies = np.asarray(latencies_s, dtype=np.float64) * 1000.0
-    if latencies.size == 0:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0}
-    return {
-        "p50": float(np.percentile(latencies, 50)),
-        "p95": float(np.percentile(latencies, 95)),
-        "p99": float(np.percentile(latencies, 99)),
-        "mean": float(latencies.mean()),
-    }
-
-
 def _serving_summary(records: list[tuple[int, str, str | None, float]]) -> dict:
     """Sources, fallback reasons/rate and latency over one request subset."""
     sources: dict[str, int] = {"model": 0, "cache": 0, "fallback": 0}
@@ -110,7 +99,7 @@ def _serving_summary(records: list[tuple[int, str, str | None, float]]) -> dict:
         "sources": sources,
         "fallback_reasons": reasons,
         "fallback_rate": (sources.get("fallback", 0) / requests) if requests else 0.0,
-        "latency_ms": _percentiles_ms(latencies),
+        "latency_ms": latency_summary_ms(latencies),
     }
 
 

@@ -178,12 +178,13 @@ class TestPresets:
         assert spec.reference_edges == 1722
         assert spec.reference_steps == 34272
 
-    def test_profile_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_PROFILE", "weird")
-        from repro.data import scale_profile
-
-        with pytest.raises(ValueError):
-            scale_profile()
+    def test_preset_size_ignores_bench_profile(self, monkeypatch):
+        # Benchmark scale is chosen by benchmarks/common.py alone; the
+        # library always generates the preset unless sizes are passed.
+        monkeypatch.setenv("REPRO_BENCH_PROFILE", "tiny")
+        dataset = load_dataset("metr-la-sim")
+        spec = PRESETS["metr-la-sim"]
+        assert (dataset.num_nodes, dataset.num_steps) == (spec.num_nodes, spec.num_steps)
 
 
 class TestForecastingData:

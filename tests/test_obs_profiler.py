@@ -19,8 +19,10 @@ from repro.obs import (
     compare_fast_reference,
     memory_high_water_mark_bytes,
     read_jsonl,
+    train_step,
 )
 from repro.obs.stepbench import ROUNDS
+from repro.optim import Adam
 from repro.tensor import Tensor, configure_fast_backward, fast_backward_config
 from repro.tensor import functional as F
 from repro.training import Trainer, TrainerConfig
@@ -270,6 +272,17 @@ class TestCompareFastReference:
         for switch in timing["switches"].values():
             assert switch["off"]["rounds"] == ROUNDS
             assert switch["speedup_end_to_end"] > 0
+
+    def test_train_step_updates_parameters(self, tiny_data):
+        model = FCLSTM(hidden_dim=4)
+        batch = tiny_data.train.gather(np.arange(4))
+        optimizer = Adam(model.parameters(), lr=1e-2)
+        before = [p.data.copy() for p in model.parameters()]
+        backward_s = train_step(model, optimizer, batch, tiny_data.scaler)
+        assert backward_s > 0
+        assert any(
+            not np.array_equal(b, p.data) for b, p in zip(before, model.parameters())
+        )
 
     def test_restores_configuration(self, tiny_data):
         previous = configure_fast_backward(scatter=False)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.check.sanitizers import AnomalyError
 from repro.models import build_model
-from repro.obs import TELEMETRY_SCHEMA, MemorySink
+from repro.obs import TELEMETRY_SCHEMA, MemorySink, latency_summary_ms
 from repro.serve import (
     DegradationPolicy,
     ModelRegistry,
@@ -192,6 +192,20 @@ class TestReplayAndTelemetry:
         assert record["served_by_model"] == 6
         assert record["active_version"] == "v1"
         assert record["latency_ms_p50"] <= record["latency_ms_p99"]
+
+    @pytest.mark.parametrize("latencies_s", [
+        [],
+        [0.004],
+        [0.002, 0.010, 0.003, 0.050, 0.001],
+        list(np.random.default_rng(3).exponential(0.01, size=257)),
+    ])
+    def test_latency_summary_matches_numpy(self, latencies_s):
+        summary = latency_summary_ms(latencies_s)
+        latencies_ms = np.asarray(latencies_s, dtype=np.float64) * 1000.0
+        for q in (50, 95, 99):
+            expected = float(np.percentile(latencies_ms, q)) if latencies_s else 0.0
+            assert summary[f"p{q}"] == expected
+        assert summary["mean"] == (float(latencies_ms.mean()) if latencies_s else 0.0)
 
     def test_fallbacks_counted_in_telemetry(self, bundle, tiny_data):
         with _engine(bundle) as engine:
