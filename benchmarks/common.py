@@ -197,15 +197,17 @@ def train_and_evaluate(
 def save_results(bench_name: str, payload: dict) -> Path | None:
     """Persist a benchmark's measurements to ``results/<bench_name>.json``.
 
-    The one writer of tracked bench records.  A ``tiny`` run is a smoke
-    gate, not a measurement, so it writes nothing and returns ``None``.
+    The one writer of tracked bench records.  The payload is serialised
+    first on every profile, so a payload JSON cannot encode fails the smoke
+    runs too and never leaves a half-written record.  A ``tiny`` run is a
+    smoke gate, not a measurement, so it writes nothing and returns ``None``.
     """
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if profile_name() == "tiny":
         return None
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{bench_name}.json"
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    path.write_text(text)
     return path
 
 

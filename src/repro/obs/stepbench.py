@@ -36,14 +36,16 @@ __all__ = [
 # the two legs must produce the same gradients.
 FAST_CONFIG = {"scatter": True, "inplace": True}
 REFERENCE_CONFIG = {"scatter": False, "inplace": False}
+# Global gradient-norm bound of every timed optimisation step.
+GRAD_CLIP = 5.0
 
 
-def train_step(model, optimizer, batch, scaler, grad_clip: float = 5.0) -> float:
+def train_step(model, optimizer, batch, scaler) -> float:
     """Run one optimisation step on ``batch``; return the backward's seconds.
 
     The step every training harness here times: zero grads, forward with the
     prediction unscaled to raw units, masked MAE, backward, clip to
-    ``grad_clip``, optimizer update.
+    :data:`GRAD_CLIP`, optimizer update.
     """
     optimizer.zero_grad()
     prediction = model(batch.x, batch.tod, batch.dow) * scaler.std + scaler.mean
@@ -51,7 +53,7 @@ def train_step(model, optimizer, batch, scaler, grad_clip: float = 5.0) -> float
     begin = now()
     loss.backward()
     backward = now() - begin
-    clip_grad_norm(model.parameters(), grad_clip)
+    clip_grad_norm(model.parameters(), GRAD_CLIP)
     optimizer.step()
     return backward
 
@@ -65,7 +67,6 @@ def time_train_steps(
     warmup: int = 2,
     split: str = "train",
     lr: float = 1e-3,
-    grad_clip: float = 5.0,
 ) -> dict:
     """Time ``steps`` full optimisation steps; return throughput statistics.
 
@@ -85,7 +86,7 @@ def time_train_steps(
 
     def step(i: int) -> float:
         batch = subset.gather(order[(i * batch_size) % span :][:batch_size])
-        return train_step(model, optimizer, batch, scaler, grad_clip)
+        return train_step(model, optimizer, batch, scaler)
 
     for i in range(warmup):
         step(i)

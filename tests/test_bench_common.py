@@ -33,3 +33,13 @@ class TestSaveResults:
         path = common.save_results("serve", {"profile": "bench"})
         assert list(tmp_path.iterdir()) == [path] == [tmp_path / "serve.json"]
         assert json.loads(path.read_text()) == {"profile": "bench"}
+
+    @pytest.mark.parametrize("name", ["tiny", "bench"])
+    def test_unencodable_payload_fails_and_keeps_the_record(self, monkeypatch, tmp_path, name):
+        monkeypatch.setattr(common, "RESULTS_DIR", tmp_path)
+        monkeypatch.setenv("REPRO_BENCH_PROFILE", name)
+        record = tmp_path / "serve.json"
+        record.write_text('{"profile": "bench"}')
+        with pytest.raises(TypeError):
+            common.save_results("serve", {"bad": object()})
+        assert record.read_text() == '{"profile": "bench"}'
