@@ -32,6 +32,8 @@ trainer's epoch records.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..obs.sinks import MetricsSink
@@ -180,6 +182,12 @@ class guard_mutations:
         guard_mutations._active = False
 
 
+class _ThreadGuard(threading.local):
+    """The :class:`detect_anomaly` guard active in this thread, if any."""
+
+    active: "detect_anomaly | None" = None
+
+
 class detect_anomaly:
     """Context manager: raise on the first NaN/Inf, naming the originating op.
 
@@ -194,17 +202,26 @@ class detect_anomaly:
     their composite form would have exposed as an op output through an
     engine hook, reported under the fused op's name.
 
-    Overhead is one ``np.isfinite().all()`` scan per checked array while
-    active and exactly zero once the context exits (original methods are
-    restored, the hook is cleared).
+    The guard is per thread: the wrappers are installed once, by the first
+    thread to enter, and removed when the last thread exits; they check only
+    in threads that are inside a guard, so several serving engines can each
+    guard their own forwards concurrently.  A thread cannot nest the guard
+    with itself.
+
+    Overhead is one ``np.isfinite().all()`` scan per checked array in a
+    guarded thread, one thread-local read per op in an unguarded thread
+    while any guard is active, and exactly zero once the last one exits
+    (original methods are restored, the hooks are cleared).
     """
 
-    _active = False
+    _lock = threading.Lock()
+    _thread = _ThreadGuard()
+    _users = 0  # threads inside a guard; the wrappers are installed while > 0
+    _saved: list[tuple[str, object]] = []
+    _previous_hook = None
 
     def __init__(self, sink: MetricsSink | None = None) -> None:
         self._sink = sink
-        self._saved: list[tuple[str, object]] = []
-        self._previous_hook = None
 
     # ------------------------------------------------------------------
     def _check_array(
@@ -227,10 +244,15 @@ class detect_anomaly:
         for tensor in _walk_tensors(value):
             self._check_array(tensor.data, op_name)
 
-    def _wrap(self, fn, op_name: str):
+    @staticmethod
+    def _wrap(fn, op_name: str):
+        thread = detect_anomaly._thread
+
         def checked(*args, **kwargs):
             out = fn(*args, **kwargs)
-            self._check_result(out, op_name)
+            guard = thread.active
+            if guard is not None:
+                guard._check_result(out, op_name)
             return out
 
         checked.__name__ = getattr(fn, "__name__", op_name)
@@ -238,32 +260,37 @@ class detect_anomaly:
         return checked
 
     # ------------------------------------------------------------------
-    def __enter__(self) -> "detect_anomaly":
-        if detect_anomaly._active:
-            raise RuntimeError("detect_anomaly is already active; it does not nest with itself")
-        detect_anomaly._active = True
+    @classmethod
+    def _install(cls) -> None:
         for attr, op_name, is_static in TENSOR_OPS:
             original = Tensor.__dict__[attr]
-            self._saved.append((attr, original))
+            cls._saved.append((attr, original))
             fn = original.__func__ if is_static else original
-            wrapped = self._wrap(fn, op_name)
+            wrapped = cls._wrap(fn, op_name)
             setattr(Tensor, attr, staticmethod(wrapped) if is_static else wrapped)
+
+        thread = cls._thread
 
         # Fused ops (gru_cell) report their internal products here, so an
         # overflow their output saturates away still trips the guard.
-        _tensor_mod._set_internal_check_hook(
-            lambda data, op_name: self._check_array(data, op_name, "an internal product")
-        )
+        def internal_check(data, op_name):
+            guard = thread.active
+            if guard is not None:
+                guard._check_array(data, op_name, "an internal product")
+
+        _tensor_mod._set_internal_check_hook(internal_check)
 
         previous = _tensor_mod._BACKWARD_OP_HOOK
-        self._previous_hook = previous
-        sink = self._sink
+        cls._previous_hook = previous
 
         def hook(node):
             if previous is None:
                 node._backward(node.grad)
             else:
                 previous(node)
+            guard = thread.active
+            if guard is None:
+                return
             for parent in node._parents:
                 grad = parent.grad
                 if grad is not None and grad.dtype.kind == "f" \
@@ -271,16 +298,36 @@ class detect_anomaly:
                     message = (
                         f"backward of op '{node._op}' produced a NaN/Inf gradient"
                     )
-                    _emit(sink, kind="anomaly", op=node._op, phase="backward", message=message)
+                    _emit(guard._sink, kind="anomaly", op=node._op, phase="backward",
+                          message=message)
                     raise AnomalyError(message)
 
         _tensor_mod._set_backward_op_hook(hook)
+
+    @classmethod
+    def _uninstall(cls) -> None:
+        _tensor_mod._set_backward_op_hook(cls._previous_hook)
+        cls._previous_hook = None
+        _tensor_mod._set_internal_check_hook(None)
+        for attr, original in reversed(cls._saved):
+            setattr(Tensor, attr, original)
+        cls._saved.clear()
+
+    def __enter__(self) -> "detect_anomaly":
+        cls = detect_anomaly
+        if cls._thread.active is not None:
+            raise RuntimeError("detect_anomaly is already active; it does not nest with itself")
+        with cls._lock:
+            if cls._users == 0:
+                cls._install()
+            cls._users += 1
+        cls._thread.active = self
         return self
 
     def __exit__(self, *exc_info) -> None:
-        _tensor_mod._set_backward_op_hook(self._previous_hook)
-        _tensor_mod._set_internal_check_hook(None)
-        for attr, original in reversed(self._saved):
-            setattr(Tensor, attr, original)
-        self._saved.clear()
-        detect_anomaly._active = False
+        cls = detect_anomaly
+        cls._thread.active = None
+        with cls._lock:
+            cls._users -= 1
+            if cls._users == 0:
+                cls._uninstall()

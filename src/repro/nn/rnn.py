@@ -19,7 +19,7 @@ class GRUCell(Module):
     """Single-step gated recurrent unit (Cho et al. 2014; paper Eq. 10).
 
     The nine gate parameters stay separate, so state dicts keep their keys;
-    :meth:`stacked` concatenates them into the operands of the fused
+    :meth:`stacked` stacks them into the operands of the fused
     :meth:`~repro.tensor.Tensor.gru_cell` step.  Loops over time stack once
     and hand the result to every step.
     """
@@ -38,14 +38,14 @@ class GRUCell(Module):
         self.u_h = Parameter(init.xavier_uniform(hidden_dim, hidden_dim))
         self.b_h = Parameter(init.zeros(hidden_dim))
 
-    def stacked(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        """``([W_z|W_r|W_h], [U_z|U_r|U_h], [b_z|b_r], b_h)``, the gate
-        parameters in the layout :meth:`~repro.tensor.Tensor.gru_cell` takes."""
+    def stacked(self) -> tuple[Tensor, Tensor, Tensor]:
+        """``([W_z, W_r, W_h], [U_z, U_r, U_h], [b_z, b_r, b_h])`` stacked
+        gate-major, (3, D, H), (3, H, H) and (3, H): the gate parameters
+        in the layout :meth:`~repro.tensor.Tensor.gru_cell` takes."""
         return (
-            Tensor.concatenate([self.w_z, self.w_r, self.w_h], axis=1),
-            Tensor.concatenate([self.u_z, self.u_r, self.u_h], axis=1),
-            Tensor.concatenate([self.b_z, self.b_r]),
-            self.b_h,
+            Tensor.stack([self.w_z, self.w_r, self.w_h]),
+            Tensor.stack([self.u_z, self.u_r, self.u_h]),
+            Tensor.stack([self.b_z, self.b_r, self.b_h]),
         )
 
     def forward(

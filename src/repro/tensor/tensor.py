@@ -29,6 +29,7 @@ Design notes
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -48,7 +49,17 @@ __all__ = [
 
 DEFAULT_DTYPE = np.float32
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Graph-recording switches, per thread (like torch's grad mode): a
+    ``no_grad`` block in one serving thread never turns recording off, or
+    back on, in another."""
+
+    enabled = True
+    inference = False
+
+
+_GRAD_MODE = _GradMode()
 
 # Observability hook (installed by repro.obs.profiler, None otherwise).  When
 # set, backward() routes each node's gradient closure through it so the
@@ -98,11 +109,15 @@ def _set_internal_check_hook(hook: Callable[[np.ndarray, str], None] | None) -> 
 _GRAD_POOL: dict[tuple[tuple[int, ...], np.dtype], list[np.ndarray]] = {}
 _POOL_HITS = 0
 _POOL_MISSES = 0
+# Counts ``backward()`` calls; getitem tags a gradient it may add into in
+# place with the run that built it (see ``Tensor.__getitem__``).
+_BACKWARD_RUN = 0
 
 # Closure-level fast paths (see docs/performance.md):
-# * fast scatter — getitem backward uses `full[index] += grad` for indices
-#   that provably contain no duplicates (slices, ints, boolean masks);
-#   bit-identical to np.add.at, an order of magnitude faster.
+# * slice accumulation — for indices that provably contain no duplicates
+#   (slices, ints, boolean masks) getitem backward adds the slice straight
+#   into the parent's gradient instead of scattering into a full-size zero
+#   array with np.add.at; bit-identical to it.
 # * in-place grad reuse — elementwise closures overwrite the incoming
 #   gradient buffer (its consumer is done with it) instead of allocating the
 #   outgoing one, and pass-through ops (add/sub) donate the buffer itself to
@@ -118,10 +133,11 @@ def configure_fast_backward(
 ) -> dict[str, bool]:
     """Toggle the backward fast paths; returns the *previous* configuration.
 
-    ``scatter`` gates the duplicate-free getitem scatter and ``inplace`` the
-    closure-level reuse of dying gradient buffers; both are bit-identical to
-    their reference paths.  ``None`` leaves a switch unchanged.  Gradient
-    buffer recycling is not a switch: it runs under every configuration.
+    ``scatter`` gates the duplicate-free getitem slice accumulation and
+    ``inplace`` the closure-level reuse of dying gradient buffers; both
+    are bit-identical to their reference paths.
+    ``None`` leaves a switch unchanged.  Gradient buffer recycling is not a
+    switch: it runs under every configuration.
     Used by the equivalence tests and the legs of
     ``benchmarks/bench_train_step.py``.
     """
@@ -158,6 +174,18 @@ def reference_backward():
         configure_fast_backward(**previous)
 
 
+def _pooled(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray | None:
+    """Pop a recycled gradient buffer of ``shape`` and ``dtype`` (a pool
+    hit), or count a miss and return ``None``.  Its contents are stale."""
+    global _POOL_HITS, _POOL_MISSES
+    free = _GRAD_POOL.get((shape, dtype))
+    if free:
+        _POOL_HITS += 1
+        return free.pop()
+    _POOL_MISSES += 1
+    return None
+
+
 def backward_tape_stats() -> dict[str, int]:
     """Gradient buffer pool counters.
 
@@ -175,21 +203,17 @@ def backward_tape_stats() -> dict[str, int]:
 @contextlib.contextmanager
 def no_grad():
     """Context manager that disables graph recording (like ``torch.no_grad``)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations currently record the backward graph."""
-    return _GRAD_ENABLED
-
-
-_INFERENCE_MODE = False
+    return _GRAD_MODE.enabled
 
 
 @contextlib.contextmanager
@@ -200,19 +224,17 @@ def inference_mode():
     itself through :func:`is_inference_mode`, so an inference forward never
     records closures even if a caller forgot ``requires_grad`` hygiene.
     """
-    global _GRAD_ENABLED, _INFERENCE_MODE
-    previous = (_GRAD_ENABLED, _INFERENCE_MODE)
-    _GRAD_ENABLED = False
-    _INFERENCE_MODE = True
+    previous = (_GRAD_MODE.enabled, _GRAD_MODE.inference)
+    _GRAD_MODE.enabled, _GRAD_MODE.inference = False, True
     try:
         yield
     finally:
-        _GRAD_ENABLED, _INFERENCE_MODE = previous
+        _GRAD_MODE.enabled, _GRAD_MODE.inference = previous
 
 
 def is_inference_mode() -> bool:
     """Return whether an :func:`inference_mode` context is currently active."""
-    return _INFERENCE_MODE
+    return _GRAD_MODE.inference
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -278,6 +300,16 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return t
 
 
+def _gate_sum(blocks: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """``sum_k blocks[k] @ weights[k].T``: a gradient back through a
+    gate-major GEMM, one GEMM per gate into one scratch buffer."""
+    out = blocks[0] @ weights[0].T
+    term = np.empty_like(out)
+    for block, weight in zip(blocks[1:], weights[1:]):
+        out += np.matmul(block, weight.T, out=term)
+    return out
+
+
 def _as_array(value, dtype=None) -> np.ndarray:
     arr = np.asarray(value, dtype=dtype if dtype is not None else None)
     if arr.dtype == np.float64:
@@ -304,7 +336,7 @@ class Tensor:
     # defaults (version 0, no saved snapshot).
     __slots__ = (
         "data", "grad", "requires_grad", "_parents", "_backward", "_op",
-        "_version", "_saved_versions",
+        "_version", "_saved_versions", "_slice_run",
     )
 
     def __init__(
@@ -410,7 +442,7 @@ class Tensor:
     ) -> "Tensor":
         # Single pass over parents; ops run ~1.5k times per train step, so
         # avoiding the any()/generator pair is measurable.
-        tracked = [p for p in parents if p.requires_grad] if _GRAD_ENABLED else ()
+        tracked = [p for p in parents if p.requires_grad] if _GRAD_MODE.enabled else ()
         if not tracked:
             return Tensor(data)
         # Inlined Tensor() construction: ops hand _make a numpy array (full
@@ -430,17 +462,13 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        global _POOL_HITS, _POOL_MISSES
         if self.grad is None:
-            free = _GRAD_POOL.get((grad.shape, self.data.dtype))
-            if free:
-                buf = free.pop()
+            buf = _pooled(grad.shape, self.data.dtype)
+            if buf is None:
+                self.grad = grad.astype(self.data.dtype, copy=True)
+            else:
                 np.copyto(buf, grad)
                 self.grad = buf
-                _POOL_HITS += 1
-            else:
-                self.grad = grad.astype(self.data.dtype, copy=True)
-                _POOL_MISSES += 1
         elif self.grad.flags.carray:
             self.grad += grad
         else:
@@ -529,9 +557,10 @@ class Tensor:
         ``grad`` defaults to ones (valid only for scalar outputs, mirroring
         the PyTorch convention).
         """
-        global _GRAD_POOL
+        global _GRAD_POOL, _BACKWARD_RUN
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
+        _BACKWARD_RUN += 1
         if grad is None:
             if self.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar outputs")
@@ -904,72 +933,87 @@ class Tensor:
     # ------------------------------------------------------------------
     # Fused recurrent step
     # ------------------------------------------------------------------
-    def gru_cell(
-        self, h: "Tensor", w: "Tensor", u: "Tensor", b_zr: "Tensor", b_h: "Tensor"
-    ) -> "Tensor":
+    def gru_cell(self, h: "Tensor", w: "Tensor", u: "Tensor", b: "Tensor") -> "Tensor":
         """One GRU step (paper Eq. 10) as a single differentiable op.
 
         ``self`` is the input x (B, D) and ``h`` the state (B, H).  The gate
-        parameters come stacked on their last axis in z, r, candidate order:
-        ``w = [W_z|W_r|W_h]`` (D, 3H), ``u = [U_z|U_r|U_h]`` (H, 3H),
-        ``b_zr = [b_z|b_r]`` (2H,) and ``b_h`` (H,).  Two GEMMs replace the
-        composite cell's six; ``U_h`` shares h's GEMM because the reset gate
-        multiplies the whole ``h U_h + b_h`` term.  The elementwise formulas
-        and their evaluation order are the composite cell's, so the output
-        matches it bit for bit wherever the BLAS computes a column block of
-        a GEMM exactly as the GEMM of that block alone.  Backward is one
-        closure with four GEMMs that keeps the gates, the candidate and
-        ``h U_h + b_h`` — not the composite's ~20 intermediate arrays.
+        parameters come stacked gate-major in z, r, candidate order:
+        ``w = [W_z, W_r, W_h]`` (3, D, H), ``u = [U_z, U_r, U_h]`` (3, H, H)
+        and ``b = [b_z, b_r, b_h]`` (3, H).  Two GEMMs replace the
+        composite cell's six, and each yields a (3, B, H) array in which
+        every gate is a contiguous block; ``U_h`` shares h's GEMM because the
+        reset gate multiplies the whole ``h U_h + b_h`` term.  The gate math
+        runs in place in those two arrays, the sigmoid in its tanh form
+        ``σ(a) = ½·tanh(½a) + ½``, so the output matches the composite cell
+        to float rounding, not bit for bit.  Backward is one closure of
+        per-gate GEMMs that keeps only the two GEMM arrays (gates, candidate
+        and ``h U_h + b_h``) and x and h.
         """
         x = self
-        hidden = h.data.shape[-1]
-        split = 2 * hidden
         check = _INTERNAL_CHECK_HOOK
-        gx = x.data @ w.data
-        gh = h.data @ u.data
-        pre_zr = gx[:, :split] + gh[:, :split]
-        pre_zr += b_zr.data
-        hh = gh[:, split:] + b_h.data
-        zr = _stable_sigmoid(pre_zr)
-        z = zr[:, :hidden]
-        r = zr[:, hidden:]
-        pre_c = gx[:, split:] + r * hh
+        gx = np.matmul(x.data, w.data)
+        gh = np.matmul(h.data, u.data)
         if check is not None:
-            for value in (gx, gh, pre_zr, hh, pre_c):
-                check(value, "gru_cell")
-        cand = np.tanh(pre_c)
-        out_data = (1.0 - z) * h.data + z * cand
+            check(gx, "gru_cell")
+            check(gh, "gru_cell")
+        gh += b.data[:, None]
+        zr, hh = gx[:2], gh[2]
+        zr += gh[:2]
+        if check is not None:
+            check(zr, "gru_cell")
+            check(hh, "gru_cell")
+        zr *= 0.5
+        np.tanh(zr, out=zr)
+        zr *= 0.5
+        zr += 0.5
+        z, r, cand = gx
+        # gh's z/r blocks are dead once summed into zr: the step's scratch.
+        scratch = gh[:2]
+        cand += np.multiply(r, hh, out=scratch[0])
+        if check is not None:
+            check(cand, "gru_cell")
+        np.tanh(cand, out=cand)
+        out_data = cand - h.data
+        out_data *= z
+        out_data += h.data
 
         def backward(grad: np.ndarray) -> None:
-            # Pre-activation gradients, laid out like the stacked GEMM
-            # outputs: [z | r | candidate] for x's GEMM; h's differs only in
-            # the candidate block, where the reset gate scales it.
-            d_gx = np.empty((grad.shape[0], 3 * hidden), dtype=grad.dtype)
-            d_z, d_r, d_c = d_gx[:, :hidden], d_gx[:, hidden:split], d_gx[:, split:]
-            np.multiply(grad, z, out=d_c)
-            d_c *= 1.0 - cand * cand
+            # Pre-activation gradients [z | r | candidate] of x's GEMM; h's
+            # differ only in the candidate block, which the reset gate scales.
+            d = np.empty_like(gx)
+            d_z, d_r, d_c = d
+            np.multiply(cand, cand, out=d_c)
+            np.subtract(1.0, d_c, out=d_c)
+            d_c *= z
+            d_c *= grad
             np.subtract(cand, h.data, out=d_z)
             d_z *= grad
             np.multiply(d_c, hh, out=d_r)
-            d_gx[:, :split] *= zr * (1.0 - zr)
-            d_gh = d_gx.copy()
-            d_gh[:, split:] *= r
+            slope = np.subtract(1.0, zr, out=scratch)
+            slope *= zr
+            d[:2] *= slope
+            d_hc = np.multiply(d_c, r, out=scratch[0])
             if x.requires_grad:
-                x._accumulate_fresh(d_gx @ w.data.T)
+                x._accumulate_fresh(_gate_sum((d_z, d_r, d_c), w.data))
             if h.requires_grad:
-                d_h = d_gh @ u.data.T
+                d_h = _gate_sum((d_z, d_r, d_hc), u.data)
                 d_h += grad * (1.0 - z)
                 h._accumulate_fresh(d_h)
             if w.requires_grad:
-                w._accumulate_fresh(x.data.T @ d_gx)
+                w._accumulate_fresh(np.matmul(x.data.T, d))
             if u.requires_grad:
-                u._accumulate_fresh(h.data.T @ d_gh)
-            if b_zr.requires_grad:
-                b_zr._accumulate_fresh(d_gx[:, :split].sum(axis=0))
-            if b_h.requires_grad:
-                b_h._accumulate_fresh(d_gh[:, split:].sum(axis=0))
+                d_u = np.empty_like(u.data)
+                for k, d_k in enumerate((d_z, d_r, d_hc)):
+                    np.matmul(h.data.T, d_k, out=d_u[k])
+                u._accumulate_fresh(d_u)
+            if b.requires_grad:
+                ones = np.ones(grad.shape[0], dtype=grad.dtype)
+                d_b = np.empty_like(b.data)
+                for k, d_k in enumerate((d_z, d_r, d_hc)):
+                    np.matmul(ones, d_k, out=d_b[k])
+                b._accumulate_fresh(d_b)
 
-        return Tensor._make(out_data, (x, h, w, u, b_zr, b_h), backward, "gru_cell")
+        return Tensor._make(out_data, (x, h, w, u, b), backward, "gru_cell")
 
     # ------------------------------------------------------------------
     # Reductions
@@ -1115,13 +1159,37 @@ class Tensor:
         simple = _FAST_SCATTER and _duplicate_free_index(index)
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+            # A duplicate-free slice is added straight into the gradient: the
+            # first one into a zeroed pool buffer (exactly the reference's
+            # 0 + g), later ones in place.  Outside the slice the reference
+            # adds +0.0, which turns a -0.0 into +0.0, so adding in place is
+            # bit-identical only on a gradient without -0.0.  A sum is -0.0
+            # only when both terms are, and within one backward() a tensor's
+            # gradient is only added to, so once a getitem backward has built
+            # it from 0 + g, or added a full 0 + g into it, it holds no -0.0
+            # for the rest of that run; _slice_run records the run.
+            if not self.requires_grad:
+                return
+            if simple and self.grad is None:
+                buf = _pooled(self.data.shape, self.data.dtype)
+                if buf is None:
+                    buf = np.zeros_like(self.data)
+                else:
+                    buf.fill(0)
+                buf[index] += grad
+                self.grad = buf
+            elif simple and getattr(self, "_slice_run", None) == _BACKWARD_RUN:
+                self.grad[index] += grad
+                return
+            else:
                 full = np.zeros_like(self.data)
                 if simple:
                     full[index] += grad
                 else:
                     np.add.at(full, index, grad)
                 self._accumulate_fresh(full)
+            if simple:
+                self._slice_run = _BACKWARD_RUN
 
         return Tensor._make(out_data, (self,), backward, "getitem")
 

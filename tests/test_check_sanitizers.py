@@ -1,5 +1,9 @@
 """Runtime sanitizers: mutation guard, anomaly detection, telemetry, zero cost."""
 
+import contextlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,6 +29,27 @@ def _engine_is_pristine():
     assert isinstance(Tensor.__dict__["data"], MemberDescriptorType)
     assert isinstance(Tensor.__dict__["_make"], staticmethod)
     assert "exp" not in vars(Tensor) or Tensor.exp.__qualname__.startswith("Tensor.")
+
+
+@contextlib.contextmanager
+def _guard_in_other_thread():
+    """Hold a ``detect_anomaly`` guard open in a second thread meanwhile."""
+    entered, release = threading.Event(), threading.Event()
+
+    def guarded():
+        with detect_anomaly():
+            entered.set()
+            release.wait(10)
+
+    thread = threading.Thread(target=guarded)
+    thread.start()
+    try:
+        assert entered.wait(10)
+        yield
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 class TestVersionCounter:
@@ -157,6 +182,50 @@ class TestDetectAnomaly:
             with pytest.raises(RuntimeError, match="does not nest"):
                 with detect_anomaly():
                     pass
+
+    def test_unguarded_thread_does_not_trip_while_another_is_guarded(self):
+        with _guard_in_other_thread():
+            out = Tensor(np.array([1.0])) / Tensor(np.array([0.0]))  # unguarded: no raise
+            assert np.isinf(out.numpy()).all()
+            with pytest.raises(AnomalyError, match="op 'div'"):
+                with detect_anomaly():  # this thread's own guard still checks
+                    Tensor(np.array([1.0])) / Tensor(np.array([0.0]))
+        _engine_is_pristine()
+
+    def test_stress_guards_enter_and_exit_in_many_threads(self):
+        errors: list[BaseException] = []
+
+        def worker():
+            try:
+                for _ in range(40):
+                    with detect_anomaly():
+                        x = Tensor(np.ones(4, np.float32), requires_grad=True)
+                        (x * 2.0).sum().backward()
+                        with pytest.raises(AnomalyError, match="op 'div'"):
+                            Tensor(np.array([1.0])) / Tensor(np.array([0.0]))
+            except BaseException as error:  # reported by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        _engine_is_pristine()
+
+    def test_engine_stays_instrumented_until_the_last_thread_exits(self):
+        with _guard_in_other_thread():
+            with detect_anomaly():
+                pass
+            assert tensor_mod._INTERNAL_CHECK_HOOK is not None
+        _engine_is_pristine()
 
     def test_engine_restored_after_exit_and_trip(self):
         with pytest.raises(AnomalyError):

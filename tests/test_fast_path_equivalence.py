@@ -18,6 +18,7 @@ import pytest
 
 from repro.data import build_forecasting_data, load_dataset
 from repro.data.windows import BatchIterator, WindowDataset
+from repro import nn
 from repro.models import build_model
 from repro.obs import FAST_CONFIG, REFERENCE_CONFIG
 from repro.optim import Adam, clip_grad_norm
@@ -28,6 +29,7 @@ from repro.tensor import (
     configure_fast_backward,
     fast_backward_config,
     functional as F,
+    reference_backward,
 )
 from repro.utils.seed import set_seed
 
@@ -145,6 +147,167 @@ class TestGradientPool:
         del h, loss
         gc.collect()
         assert alive() is None
+
+
+def _fast_and_reference(build):
+    """Run ``build()`` (forward + backward, returns arrays) on both paths;
+    the bytes must match, so a -0.0 against a +0.0 fails."""
+    fast = build()
+    with reference_backward():
+        reference = build()
+    for got, want in zip(fast, reference, strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    return fast
+
+
+class TestSliceAccumulate:
+    """The getitem backward adds each duplicate-free slice straight into the
+    parent's gradient; every case must equal the zero-fill-and-add
+    reference."""
+
+    def test_many_slices_of_one_tensor(self, rng, monkeypatch):
+        data = rng.normal(size=(6, 12, 5)).astype(np.float32)
+        scale = rng.normal(size=(12, 5)).astype(np.float32)
+        zero_fills = []
+        zeros_like = np.zeros_like
+
+        def counting_zeros_like(*args, **kwargs):
+            zero_fills.append(fast_backward_config()["scatter"])
+            return zeros_like(*args, **kwargs)
+
+        def build():
+            x = Tensor(data, requires_grad=True)
+            y = x * 1.0  # an op node: its gradient buffer comes from the pool
+            loss = Tensor.stack([(y[:, t, :] * scale[t]).tanh() for t in range(12)])
+            loss.sum().backward()
+            return [x.grad]
+
+        build()  # leaves one step's buffers on the pool
+        before = backward_tape_stats()
+        monkeypatch.setattr(np, "zeros_like", counting_zeros_like)
+        _fast_and_reference(build)
+        after = backward_tape_stats()
+        assert after["hits"] > before["hits"]
+        # Every slice after the first adds in place: no full-size zero fill,
+        # where the reference fills one per slice.
+        assert zero_fills.count(True) == 0
+        assert zero_fills.count(False) == 12
+
+    @pytest.mark.parametrize("slices_first", [True, False])
+    def test_negative_zero_from_another_consumer(self, slices_first):
+        # The mul consumer leaves -0.0 in y's gradient where the slices do
+        # not reach; the reference's + 0.0 turns it into +0.0, and so must
+        # the fast path, whichever consumer runs first.
+        data = np.arange(8, dtype=np.float32).reshape(4, 2)
+        sign = np.array([[1.0, -0.0], [-0.0, 2.0], [-0.0, -0.0], [3.0, -0.0]], np.float32)
+
+        def build():
+            x = Tensor(data, requires_grad=True)
+            y = x * 1.0
+            terms = [y[0:1].sum(), y[1, :].sum(), (y * sign).sum()]
+            if not slices_first:
+                terms.reverse()
+            sum(terms[1:], start=terms[0]).backward()
+            return [x.grad]
+
+        (grad,) = _fast_and_reference(build)
+        assert not np.signbit(grad).any()
+
+    def test_leaf_gradient_holding_negative_zero(self):
+        def build():
+            x = Tensor(np.ones((3, 2), np.float32), requires_grad=True)
+            x.grad = np.array([[-0.0, 1.0], [-0.0, -0.0], [2.0, -0.0]], np.float32)
+            x[1:2].sum().backward()
+            x[2].sum().backward()
+            return [x.grad]
+
+        (grad,) = _fast_and_reference(build)
+        assert grad.tobytes() == np.array(
+            [[0.0, 1.0], [1.0, 1.0], [3.0, 1.0]], np.float32).tobytes()
+
+    def test_first_slice_allocates_when_the_pool_is_empty(self, rng):
+        data = rng.normal(size=(4, 3)).astype(np.float32)
+
+        def misses():
+            x = Tensor(data, requires_grad=True)
+            engine._GRAD_POOL.clear()
+            before = backward_tape_stats()["misses"]
+            x[1:3].sum().backward()
+            np.testing.assert_array_equal(x.grad, [[0] * 3, [1] * 3, [1] * 3, [0] * 3])
+            return backward_tape_stats()["misses"] - before
+
+        fast = misses()
+        with reference_backward():
+            reference = misses()
+        assert fast == reference + 1  # the zeroed buffer counts as a miss
+
+    def test_leaf_with_gradient_from_an_earlier_backward(self, rng):
+        data = rng.normal(size=(5, 4)).astype(np.float32)
+
+        def build():
+            x = Tensor(data, requires_grad=True)
+            (x * x).sum().backward()
+            for i in range(5):
+                (x[i] * float(i + 1)).sum().backward()
+            (x[1:4, ::2] * 3.0).sum().backward()
+            return [x.grad]
+
+        _fast_and_reference(build)
+
+    @pytest.mark.parametrize("kind", ["broadcast", "read-only"])
+    def test_unwritable_parent_grad_takes_the_fallback(self, kind, rng):
+        def build():
+            x = Tensor(rng.normal(size=(4, 3)).astype(np.float32), requires_grad=True)
+            piece = x[1:3]
+            if kind == "broadcast":
+                x.grad = np.broadcast_to(np.float32(0.5), x.shape)
+            else:
+                x.grad = np.full(x.shape, 0.5, np.float32)
+                x.grad.flags.writeable = False
+            held = x.grad
+            piece._backward(np.ones(piece.shape, np.float32))
+            assert x.grad is not held and x.grad.flags.writeable
+            return [x.grad]
+
+        (grad,) = _fast_and_reference(build)
+        np.testing.assert_array_equal(grad, [[0.5] * 3, [1.5] * 3, [1.5] * 3, [0.5] * 3])
+
+    def test_integer_array_index_keeps_add_at(self, rng):
+        data = rng.normal(size=(4, 3)).astype(np.float32)
+
+        def build():
+            x = Tensor(data, requires_grad=True)
+            x[np.array([0, 2, 0, 0])].sum().backward()
+            return [x.grad]
+
+        (grad,) = _fast_and_reference(build)
+        np.testing.assert_array_equal(grad[:, 0], [3, 0, 1, 0])
+
+    def test_lstm(self, rng):
+        data = rng.normal(size=(3, 7, 4)).astype(np.float32)
+
+        def build():
+            set_seed(0)
+            lstm = nn.LSTM(4, 5)
+            x = Tensor(data, requires_grad=True)
+            seq, (h, _) = lstm(x)
+            (seq.sum() + h.sum()).backward()
+            return [x.grad] + [p.grad for p in lstm.parameters()]
+
+        _fast_and_reference(build)
+
+    def test_split(self, rng):
+        data = rng.normal(size=(4, 6, 3)).astype(np.float32)
+
+        def build():
+            x = Tensor(data, requires_grad=True)
+            pieces = (x * 2.0).split(3, axis=1)
+            sum(((p * float(i + 1)).exp() for i, p in enumerate(pieces)),
+                start=Tensor(0.0)).sum().backward()
+            return [x.grad]
+
+        _fast_and_reference(build)
 
 
 class TestVectorizedGather:

@@ -1,5 +1,7 @@
 """The engine's inference mode: no recording, same numbers."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,30 @@ class TestContext:
                 assert is_inference_mode()
             assert not is_grad_enabled()  # outer no_grad still active
         assert is_grad_enabled()
+
+    def test_modes_are_per_thread(self):
+        """Two threads whose inference blocks overlap and exit out of order
+        must each get back their own flags."""
+        entered, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def serve():
+            with inference_mode():
+                entered.set()
+                release.wait(10)
+            seen["after"] = (is_grad_enabled(), is_inference_mode())
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        assert entered.wait(10)
+        assert is_grad_enabled() and not is_inference_mode()  # not the other thread's
+        with inference_mode():
+            release.set()
+            thread.join(timeout=10)
+            assert is_inference_mode()
+        assert not thread.is_alive()
+        assert is_grad_enabled() and not is_inference_mode()
+        assert seen["after"] == (True, False)
 
     def test_no_graph_is_built(self):
         a = Tensor(np.ones((2, 2), np.float32), requires_grad=True)

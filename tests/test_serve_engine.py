@@ -1,5 +1,7 @@
 """The assembled serving stack: engine flows, degradation and telemetry."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.serve import (
     make_servable,
     replay_split,
 )
+from repro.tensor import is_grad_enabled
 from repro.utils.seed import set_seed
 
 
@@ -215,3 +218,40 @@ class TestReplayAndTelemetry:
         assert report["fallbacks"] == 1
         assert report["fallback_reasons"] == {"cold_start": 1}
         assert report["served_by_model"] == 0
+
+
+class TestConcurrentEngines:
+    def test_two_guarded_engines_serve_concurrently(self, bundle, tiny_data):
+        """Each engine's batcher thread enters its own anomaly guard; two
+        guards in two threads must not trip each other."""
+        series = tiny_data.dataset.series
+        reads = 40
+        engines = [_engine(bundle) for _ in range(2)]
+        results: list[list] = [[], []]
+
+        def client(engine, out):
+            start = engine.store.history
+            for row in range(start, start + reads):
+                # A fresh observation invalidates the cache: every read is
+                # a model forward.
+                engine.observe(series.values[row], int(series.time_of_day[row]),
+                               int(series.day_of_week[row]))
+                out.append(engine.forecast())
+
+        try:
+            for engine in engines:
+                _warm(engine, tiny_data)
+            threads = [threading.Thread(target=client, args=(engine, out))
+                       for engine, out in zip(engines, results)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            for engine in engines:
+                engine.close()
+        assert not any(thread.is_alive() for thread in threads)
+        sources = [result.source for out in results for result in out]
+        assert len(sources) == 2 * reads
+        assert sources.count("model") == 2 * reads
+        assert is_grad_enabled()  # the batchers' inference blocks did not leak
