@@ -7,8 +7,8 @@ enforcement (see ``docs/static-analysis.md`` and ``docs/tape-analysis.md``):
   :func:`guard_mutations` certifies that no tensor saved for backward was
   mutated in place between forward and backward (version counters), and
   :func:`detect_anomaly` raises on the first NaN/Inf naming the originating
-  forward op.  Both follow the PR 1 method-swap pattern: zero overhead when
-  not active.
+  forward op.  Both attach through :mod:`repro.tensor.instrument`: zero
+  overhead when not active, and any exit order leaves the engine clean.
 * :mod:`repro.check.analyzer` — static model analysis: runs every registered
   model against dataset presets on a minimal probe batch and reports shape
   contract breaks, float64 drift inside the op graph, and dead parameters
@@ -18,12 +18,13 @@ enforcement (see ``docs/static-analysis.md`` and ``docs/tape-analysis.md``):
   proves lifetime/arena, mutation-hazard, dead-value, and fusion
   properties over it (rules T001–T004).
 * :mod:`repro.check.linter` — AST linter with repo-specific rules
-  (R001–R010): global RNG use, missing ``super().__init__``, unregistered
+  (R001–R012): global RNG use, missing ``super().__init__``, unregistered
   parameters, raw ``.data`` writes, wall-clock access outside the shared
   timer, non-atomic writes of persistent state, per-sample Python loops
   over batch indices, model forwards inside :mod:`repro.serve` outside
-  the micro-batcher, and evaluation/serving forwards outside
-  ``inference_mode()``.
+  the micro-batcher, evaluation/serving forwards outside
+  ``inference_mode()``, unseeded scenario events, and engine patches
+  outside the instrumentation seam.
 
 Entry points: ``repro check`` / ``repro check tape`` / ``repro lint`` on
 the command line, ``make lint`` / ``make check-tape`` / ``make ci`` in the

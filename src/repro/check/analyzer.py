@@ -12,7 +12,7 @@ without training, on a minimal probe batch, in seconds for the whole zoo:
   float64 results at tensor creation (:class:`repro.tensor.Tensor`), so
   float64 intermediates never surface as wrong dtypes — they surface as 2×
   memory traffic.  The analyzer intercepts op results *before* that downcast
-  by swapping ``Tensor._make`` while the probe runs;
+  with an instrument on ``Tensor._make`` while the probe runs;
 * **dead parameters** — parameters that are registered (so the optimizer
   updates them and checkpoints store them) but unreachable by gradients from
   the output.  Dead parameters silently inflate model size claims and
@@ -25,13 +25,16 @@ Reports are both machine-readable (:func:`model_report_dict`, schema
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from ..data import PRESETS, build_forecasting_data, load_dataset
 from ..models import NEURAL, build_model, canonical_model
 from ..nn.module import Module
+from ..tensor.instrument import Instrument
 from ..tensor.tensor import Tensor
 from ..utils.seed import set_seed
 
@@ -96,6 +99,31 @@ class ModelCheck:
         }
 
 
+class _Float64Probe(Instrument):
+    """Records (op, innermost module class) for each float64 op result."""
+
+    def __init__(self) -> None:
+        self.hits: dict[tuple[str, str], None] = {}
+        self._scopes: list[str] = []
+
+    def wrap_make(self, make: Callable[..., Tensor]) -> Callable[..., Tensor]:
+        def checking_make(data: Any, parents: Any, backward: Any, op: str) -> Tensor:
+            if getattr(data, "dtype", None) == np.float64:
+                scope = self._scopes[-1] if self._scopes else "<top>"
+                self.hits[(op, scope)] = None
+            return make(data, parents, backward, op)
+
+        return checking_make
+
+    @contextlib.contextmanager
+    def wrap_scope(self, module: Any) -> Iterator[None]:
+        self._scopes.append(type(module).__name__)
+        try:
+            yield
+        finally:
+            self._scopes.pop()
+
+
 def analyze_model(
     model: Module,
     *,
@@ -123,30 +151,7 @@ def analyze_model(
         if param.dtype != np.float32:
             check.dtype_violations.append(f"parameter {param_name!r} is {param.dtype}")
 
-    # Intercept op results before Tensor.__init__'s float64 downcast, and
-    # track which module scope was executing, via temporary swaps.
-    float64_hits: dict[tuple[str, str], None] = {}
-    scope_stack: list[str] = []
-    original_call = Module.__call__
-    original_make = Tensor.__dict__["_make"]
-    original_make_fn = original_make.__func__
-
-    def tracking_call(module, *args, **kwargs):
-        scope_stack.append(type(module).__name__)
-        try:
-            return original_call(module, *args, **kwargs)
-        finally:
-            scope_stack.pop()
-
-    def checking_make(data, parents, backward, op):
-        if getattr(data, "dtype", None) == np.float64:
-            scope = scope_stack[-1] if scope_stack else "<top>"
-            float64_hits[(op, scope)] = None
-        return original_make_fn(data, parents, backward, op)
-
-    Module.__call__ = tracking_call
-    Tensor._make = staticmethod(checking_make)
-    try:
+    with _Float64Probe() as probe:
         model.eval()
         model.zero_grad()
         output = model(x, tod, dow)
@@ -154,11 +159,8 @@ def analyze_model(
         if np.issubdtype(output.dtype, np.floating) and output.dtype != np.float32:
             check.dtype_violations.append(f"forward output is {output.dtype}")
         output.sum().backward()
-    finally:
-        Module.__call__ = original_call
-        Tensor._make = original_make
 
-    check.float64_ops = [f"op '{op}' in scope '{scope}'" for op, scope in sorted(float64_hits)]
+    check.float64_ops = [f"op '{op}' in scope '{scope}'" for op, scope in sorted(probe.hits)]
     check.dead_parameters = [
         param_name
         for param_name, param in model.named_parameters()

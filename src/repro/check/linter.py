@@ -1,6 +1,6 @@
 """AST linter with repo-specific rules the generic tools cannot express.
 
-Eleven rules (R001–R011), each encoding an invariant this codebase relies on
+Twelve rules (R001–R012), each encoding an invariant this codebase relies on
 for reproducibility or correctness — see ``docs/static-analysis.md`` for the
 full rationale table:
 
@@ -51,6 +51,10 @@ R011      every event class in :mod:`repro.data.events` must declare an
           from an argless ``default_rng()`` — scenario schedules are
           replayed for conditional evaluation, so an event with hidden
           randomness can never reproduce the stream it perturbed
+R012      only :mod:`repro.tensor.instrument` patches the engine (no
+          ``setattr(Tensor, ...)``, ``Tensor.x =``, ``Module.__call__ =``
+          or hook-global write elsewhere) — a self-patching instrument
+          breaks the others when exits do not come in LIFO order
 ========  ==============================================================
 
 Suppression: append ``# lint: disable`` (all rules) or
@@ -96,6 +100,7 @@ LINT_RULES = {
     "R009": "no model forwards in the sharded serving modules; cross the transport as ops",
     "R010": "evaluation/serving model forwards must run under inference_mode()",
     "R011": "event classes must declare an explicit seed/rng field; no argless default_rng()",
+    "R012": "only repro.tensor.instrument may patch the engine; subclass Instrument",
 }
 
 # Paths (posix, repo-relative prefixes) where a rule legitimately does not
@@ -171,6 +176,12 @@ _EVENT_PATHS = ("src/repro/data/events.py",)
 _EVENT_BASE_NAMES = frozenset({"Event"})
 _EVENT_SEED_FIELDS = frozenset({"seed", "rng"})
 
+# R012: the instrumentation seam is the one module that changes the engine's
+# class attributes and hook globals (a write to a global from a function
+# needs a `global` statement; the module-level declarations are not writes).
+_ENGINE_PATCH_ALLOWED = ("src/repro/tensor/instrument.py",)
+_ENGINE_HOOKS = frozenset({"_BACKWARD_OP_HOOK", "_INTERNAL_CHECK_HOOK", "_FORWARD_SCOPE_HOOK"})
+
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*disable(?:=(?P<rules>[\w,\s]+))?")
 
 
@@ -209,6 +220,19 @@ def _is_np_random(node: ast.expr) -> bool:
         and isinstance(node.value, ast.Name)
         and node.value.id in ("np", "numpy")
     )
+
+
+def _terminal_name(node: ast.expr) -> str | None:
+    """``Tensor`` for both ``Tensor`` and ``tensor_mod.Tensor``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+_ENGINE_PATCH_MESSAGE = (
+    "patches the tensor engine outside repro.tensor.instrument; "
+    "subclass Instrument and attach it"
+)
 
 
 def _is_module_base(base: ast.expr) -> bool:
@@ -273,6 +297,7 @@ class _Visitor(ast.NodeVisitor):
         self._inference_required = path in _INFERENCE_REQUIRED_PATHS
         self._inference_depth = 0
         self._event_scoped = path in _EVENT_PATHS
+        self._engine_patch_allowed = path in _ENGINE_PATCH_ALLOWED
 
     def _report(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append(Finding(self.path, node.lineno, rule, message))
@@ -378,6 +403,15 @@ class _Visitor(ast.NodeVisitor):
                 "argless default_rng() in the event module; "
                 "draw from the event's declared seed field",
             )
+        # R012: setattr(Tensor, ...) outside the instrumentation seam.
+        if (
+            not self._engine_patch_allowed
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr"
+            and node.args
+            and _terminal_name(node.args[0]) == "Tensor"
+        ):
+            self._report(node, "R012", _ENGINE_PATCH_MESSAGE)
         # R006: truncating open() inside the state-persisting modules.
         if (
             self._persists_state
@@ -608,6 +642,21 @@ class _Visitor(ast.NodeVisitor):
             )
         )
 
+    # -- R012 ----------------------------------------------------------
+    def _check_engine_patch(self, node: ast.stmt, targets: list[ast.expr]) -> None:
+        for target in targets:
+            if self._engine_patch_allowed or not isinstance(target, ast.Attribute):
+                continue
+            owner = _terminal_name(target.value)
+            if owner == "Tensor" or target.attr in _ENGINE_HOOKS or (
+                owner == "Module" and target.attr == "__call__"
+            ):
+                self._report(node, "R012", _ENGINE_PATCH_MESSAGE)
+
+    def visit_Global(self, node: ast.Global) -> None:
+        if not self._engine_patch_allowed and _ENGINE_HOOKS.intersection(node.names):
+            self._report(node, "R012", _ENGINE_PATCH_MESSAGE)
+
     def visit_Assign(self, node: ast.Assign) -> None:
         if not self._data_write_allowed:
             for target in node.targets:
@@ -616,6 +665,7 @@ class _Visitor(ast.NodeVisitor):
                         node, "R004",
                         ".data write bypasses the version counter; use Tensor.copy_",
                     )
+        self._check_engine_patch(node, node.targets)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
@@ -624,6 +674,7 @@ class _Visitor(ast.NodeVisitor):
                 node, "R004",
                 "in-place .data update bypasses the version counter; use Tensor.copy_",
             )
+        self._check_engine_patch(node, [node.target])
         self.generic_visit(node)
 
 

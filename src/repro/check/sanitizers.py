@@ -18,10 +18,10 @@ merely observing it:
   originating forward op, in forward or backward, instead of surfacing as a
   NaN loss many ops later.
 
-Both use the PR 1 method-swap pattern: instrumentation is installed on
-``__enter__`` and fully removed on ``__exit__``, so the disabled path runs
-the original, unmodified engine — zero overhead when off.  They may nest
-with each other and with :class:`repro.obs.Profiler` (backward hooks chain).
+Both attach through :mod:`repro.tensor.instrument` on ``__enter__`` and
+detach on ``__exit__``, so the disabled path runs the original, unmodified
+engine — zero overhead when off.  They compose with each other and with
+every other instrument, and may exit in any order.
 
 Sanitizer trips are also emitted as telemetry records (``event:
 "sanitizer"``) through a :class:`~repro.obs.sinks.MetricsSink` — either the
@@ -33,13 +33,13 @@ trainer's epoch records.
 from __future__ import annotations
 
 import threading
+from typing import Any, Callable
 
 import numpy as np
 
 from ..obs.sinks import MetricsSink
 from ..obs.telemetry import sanitizer_record
-from ..tensor import tensor as _tensor_mod
-from ..tensor.ops_registry import TENSOR_OPS
+from ..tensor.instrument import Instrument, attach, detach
 from ..tensor.tensor import Tensor
 
 __all__ = [
@@ -91,7 +91,7 @@ def _walk_tensors(value):
             yield from _walk_tensors(item)
 
 
-class guard_mutations:
+class guard_mutations(Instrument):
     """Context manager: raise if a tensor saved for backward is mutated in place.
 
     While active:
@@ -105,87 +105,97 @@ class guard_mutations:
       parent.
 
     Only tensors that require grad are tracked (they are the ones whose
-    closures re-read saved data).  Nests under/over ``Profiler`` and
-    :func:`detect_anomaly`; does not re-enter itself.
+    closures re-read saved data).  Composes with ``Profiler`` and
+    :func:`detect_anomaly`; does not nest with itself.
     """
-
-    _active = False
 
     def __init__(self, sink: MetricsSink | None = None) -> None:
         self._sink = sink
-        self._member = None
-        self._original_make = None
-        self._previous_hook = None
 
-    def __enter__(self) -> "guard_mutations":
-        if guard_mutations._active:
-            raise RuntimeError("guard_mutations is already active; it does not nest with itself")
-        guard_mutations._active = True
+    def on_data_set(self, tensor: Tensor, previous: Any, value: Any) -> None:
+        tensor._version = getattr(tensor, "_version", 0) + 1
 
-        # 1. Swap the `data` slot descriptor for a version-bumping property.
-        member = Tensor.__dict__["data"]
-        self._member = member
-
-        def _get(tensor):
-            return member.__get__(tensor, Tensor)
-
-        def _set(tensor, value):
-            member.__set__(tensor, value)
-            tensor._version = getattr(tensor, "_version", 0) + 1
-
-        setattr(Tensor, "data", property(_get, _set))
-
-        # 2. Swap Tensor._make so new graph nodes snapshot parent versions.
-        original_make = Tensor.__dict__["_make"].__func__
-        self._original_make = Tensor.__dict__["_make"]
-
-        def guarded_make(data, parents, backward, op):
-            out = original_make(data, parents, backward, op)
+    def wrap_make(self, make: Callable[..., Tensor]) -> Callable[..., Tensor]:
+        def guarded_make(data: Any, parents: Any, backward: Any, op: str) -> Tensor:
+            out = make(data, parents, backward, op)
             if out._backward is not None:
                 out._saved_versions = tuple(getattr(p, "_version", 0) for p in out._parents)
             return out
 
-        Tensor._make = staticmethod(guarded_make)
+        return guarded_make
 
-        # 3. Chain a backward hook that checks the snapshots.
-        previous = _tensor_mod._BACKWARD_OP_HOOK
-        self._previous_hook = previous
-        sink = self._sink
-
-        def hook(node):
-            saved = getattr(node, "_saved_versions", None)
-            if saved is not None:
-                for parent, recorded in zip(node._parents, saved):
-                    current = getattr(parent, "_version", 0)
-                    if current != recorded:
-                        message = (
-                            f"tensor saved for the backward of op '{node._op}' was "
-                            f"mutated in place after the forward pass (version "
-                            f"{recorded} -> {current}); its gradient would be computed "
-                            f"from corrupted data"
-                        )
-                        _emit(sink, kind="inplace_mutation", op=node._op,
-                              phase="backward", message=message)
-                        raise InplaceMutationError(message)
-            if previous is None:
-                node._backward(node.grad)
-            else:
-                previous(node)
-
-        _tensor_mod._set_backward_op_hook(hook)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _tensor_mod._set_backward_op_hook(self._previous_hook)
-        Tensor._make = self._original_make
-        setattr(Tensor, "data", self._member)
-        guard_mutations._active = False
+    def wrap_backward(self, node: Tensor, inner: Callable[[Tensor], None]) -> None:
+        saved = getattr(node, "_saved_versions", None)
+        if saved is not None:
+            for parent, recorded in zip(node._parents, saved):
+                current = getattr(parent, "_version", 0)
+                if current != recorded:
+                    message = (
+                        f"tensor saved for the backward of op '{node._op}' was "
+                        f"mutated in place after the forward pass (version "
+                        f"{recorded} -> {current}); its gradient would be computed "
+                        f"from corrupted data"
+                    )
+                    _emit(self._sink, kind="inplace_mutation", op=node._op,
+                          phase="backward", message=message)
+                    raise InplaceMutationError(message)
+        inner(node)
 
 
-class _ThreadGuard(threading.local):
-    """The :class:`detect_anomaly` guard active in this thread, if any."""
+def _check_array(
+    guard: "detect_anomaly", data: np.ndarray, op_name: str,
+    where: str = "its forward output",
+) -> None:
+    # The element-wise scan is exact and, on numpy 2.x, cheaper than a
+    # finite-sum pre-test: the SIMD isfinite beats the pairwise float32
+    # sum at every array size of a D2STGNN forward
+    # (docs/performance.md, "Fused GRU step").
+    if data.dtype.kind != "f" or np.isfinite(data).all():
+        return
+    message = f"op '{op_name}' produced NaN/Inf in {where}"
+    _emit(guard._sink, kind="anomaly", op=op_name, phase="forward", message=message)
+    raise AnomalyError(message)
+
+
+class _AnomalyCheck(Instrument, threading.local):
+    """The instrument all :class:`detect_anomaly` guards share; ``active``
+    is the current thread's guard, and checks run only where it is set."""
 
     active: "detect_anomaly | None" = None
+
+    def wrap_op(self, fn: Callable[..., Any], op_name: str) -> Callable[..., Any]:
+        def checked(*args: Any, **kwargs: Any) -> Any:
+            out = fn(*args, **kwargs)
+            guard = self.active
+            if guard is not None:
+                for tensor in (out,) if isinstance(out, Tensor) else _walk_tensors(out):
+                    _check_array(guard, tensor.data, op_name)
+            return out
+
+        checked.__name__ = getattr(fn, "__name__", op_name)
+        checked.__doc__ = fn.__doc__
+        return checked
+
+    def check_internal(self, data: np.ndarray, op_name: str) -> None:
+        # Fused ops (gru_cell) report their internal products here, so an
+        # overflow their output saturates away still trips the guard.
+        guard = self.active
+        if guard is not None:
+            _check_array(guard, data, op_name, "an internal product")
+
+    def wrap_backward(self, node: Tensor, inner: Callable[[Tensor], None]) -> None:
+        inner(node)
+        guard = self.active
+        if guard is None:
+            return
+        for parent in node._parents:
+            grad = parent.grad
+            if grad is not None and grad.dtype.kind == "f" \
+                    and not np.isfinite(grad).all():
+                message = f"backward of op '{node._op}' produced a NaN/Inf gradient"
+                _emit(guard._sink, kind="anomaly", op=node._op, phase="backward",
+                      message=message)
+                raise AnomalyError(message)
 
 
 class detect_anomaly:
@@ -193,17 +203,17 @@ class detect_anomaly:
 
     Forward: every primitive op listed in
     :data:`repro.tensor.ops_registry.TENSOR_OPS` is wrapped in a finiteness
-    check of its result.  Backward: a chained backward hook checks the
-    gradients each closure accumulates.  Either check raises
-    :class:`AnomalyError` carrying the forward op name — creation provenance
-    is the op tag every graph node already records.
+    check of its result.  Backward: a backward hook checks the gradients
+    each closure accumulates.  Either check raises :class:`AnomalyError`
+    carrying the forward op name — creation provenance is the op tag every
+    graph node already records.
 
     Fused primitives (``gru_cell``) also pass every intermediate product
     their composite form would have exposed as an op output through an
     engine hook, reported under the fused op's name.
 
-    The guard is per thread: the wrappers are installed once, by the first
-    thread to enter, and removed when the last thread exits; they check only
+    The guard is per thread: one shared instrument is attached by the first
+    thread to enter and detached when the last thread exits; it checks only
     in threads that are inside a guard, so several serving engines can each
     guard their own forwards concurrently.  A thread cannot nest the guard
     with itself.
@@ -215,119 +225,27 @@ class detect_anomaly:
     """
 
     _lock = threading.Lock()
-    _thread = _ThreadGuard()
-    _users = 0  # threads inside a guard; the wrappers are installed while > 0
-    _saved: list[tuple[str, object]] = []
-    _previous_hook = None
+    _check = _AnomalyCheck()
+    _users = 0  # threads inside a guard; the check is attached while > 0
 
     def __init__(self, sink: MetricsSink | None = None) -> None:
         self._sink = sink
 
-    # ------------------------------------------------------------------
-    def _check_array(
-        self, data: np.ndarray, op_name: str, where: str = "its forward output"
-    ) -> None:
-        # The element-wise scan is exact and, on numpy 2.x, cheaper than a
-        # finite-sum pre-test: the SIMD isfinite beats the pairwise float32
-        # sum at every array size of a D2STGNN forward
-        # (docs/performance.md, "Fused GRU step").
-        if data.dtype.kind != "f" or np.isfinite(data).all():
-            return
-        message = f"op '{op_name}' produced NaN/Inf in {where}"
-        _emit(self._sink, kind="anomaly", op=op_name, phase="forward", message=message)
-        raise AnomalyError(message)
-
-    def _check_result(self, value, op_name: str) -> None:
-        if isinstance(value, Tensor):
-            self._check_array(value.data, op_name)
-            return
-        for tensor in _walk_tensors(value):
-            self._check_array(tensor.data, op_name)
-
-    @staticmethod
-    def _wrap(fn, op_name: str):
-        thread = detect_anomaly._thread
-
-        def checked(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            guard = thread.active
-            if guard is not None:
-                guard._check_result(out, op_name)
-            return out
-
-        checked.__name__ = getattr(fn, "__name__", op_name)
-        checked.__doc__ = fn.__doc__
-        return checked
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def _install(cls) -> None:
-        for attr, op_name, is_static in TENSOR_OPS:
-            original = Tensor.__dict__[attr]
-            cls._saved.append((attr, original))
-            fn = original.__func__ if is_static else original
-            wrapped = cls._wrap(fn, op_name)
-            setattr(Tensor, attr, staticmethod(wrapped) if is_static else wrapped)
-
-        thread = cls._thread
-
-        # Fused ops (gru_cell) report their internal products here, so an
-        # overflow their output saturates away still trips the guard.
-        def internal_check(data, op_name):
-            guard = thread.active
-            if guard is not None:
-                guard._check_array(data, op_name, "an internal product")
-
-        _tensor_mod._set_internal_check_hook(internal_check)
-
-        previous = _tensor_mod._BACKWARD_OP_HOOK
-        cls._previous_hook = previous
-
-        def hook(node):
-            if previous is None:
-                node._backward(node.grad)
-            else:
-                previous(node)
-            guard = thread.active
-            if guard is None:
-                return
-            for parent in node._parents:
-                grad = parent.grad
-                if grad is not None and grad.dtype.kind == "f" \
-                        and not np.isfinite(grad).all():
-                    message = (
-                        f"backward of op '{node._op}' produced a NaN/Inf gradient"
-                    )
-                    _emit(guard._sink, kind="anomaly", op=node._op, phase="backward",
-                          message=message)
-                    raise AnomalyError(message)
-
-        _tensor_mod._set_backward_op_hook(hook)
-
-    @classmethod
-    def _uninstall(cls) -> None:
-        _tensor_mod._set_backward_op_hook(cls._previous_hook)
-        cls._previous_hook = None
-        _tensor_mod._set_internal_check_hook(None)
-        for attr, original in reversed(cls._saved):
-            setattr(Tensor, attr, original)
-        cls._saved.clear()
-
     def __enter__(self) -> "detect_anomaly":
         cls = detect_anomaly
-        if cls._thread.active is not None:
+        if cls._check.active is not None:
             raise RuntimeError("detect_anomaly is already active; it does not nest with itself")
         with cls._lock:
             if cls._users == 0:
-                cls._install()
+                attach(cls._check)
             cls._users += 1
-        cls._thread.active = self
+        cls._check.active = self
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         cls = detect_anomaly
-        cls._thread.active = None
+        cls._check.active = None
         with cls._lock:
             cls._users -= 1
             if cls._users == 0:
-                cls._uninstall()
+                detach(cls._check)

@@ -453,10 +453,6 @@ class _ProgramBuilder(TraceListener):
     def set_loss(self, loss: Tensor) -> None:
         self._loss_vid = self._ensure_value(loss)
 
-    def grad_vid_of(self, vid: int) -> int | None:
-        """Grad value for ``%vid``, if one was materialised."""
-        return self._grad_vid.get(vid)
-
     def finish(self) -> TapeProgram:
         if self._loss_vid is None:
             raise RuntimeError("set_loss() was never called during recording")

@@ -22,8 +22,11 @@ when constructed with ``step=None``.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
+from ..tensor.instrument import Instrument
 from ..tensor.ops_registry import TENSOR_OPS
 from ..tensor.tensor import Tensor
 
@@ -99,21 +102,22 @@ class BatchFault(Fault):
         return type(batch)(x=x, y=batch.y, tod=batch.tod, dow=batch.dow)
 
 
-class _PoisonOps:
+class _PoisonOps(Instrument):
     """Context manager: poison the first invocation of a named primitive op.
 
-    Uses the PR 1 method-swap pattern on :class:`~repro.tensor.Tensor` — the
-    wrapper is installed on ``__enter__`` and fully removed on ``__exit__``,
-    and it composes with ``detect_anomaly``/``Profiler`` (whichever enters
-    later wraps the already-wrapped method).  The corrupted output is
-    written through :meth:`~repro.tensor.Tensor.copy_`, so the mutation
-    sanitizer's version counters stay honest.
+    An :class:`~repro.tensor.instrument.Instrument` wrapping that op alone,
+    attached on ``__enter__`` and detached on ``__exit__``; it composes with
+    ``detect_anomaly``/``Profiler`` (whichever enters later is outermost)
+    and with other poisoners.  The corrupted output is written through
+    :meth:`~repro.tensor.Tensor.copy_`, so the mutation sanitizer's version
+    counters stay honest.
     """
 
+    exclusive = False
+
     def __init__(self, op: str, value: float) -> None:
-        self.op = op
+        self.op_table = tuple(entry for entry in TENSOR_OPS if entry[1] == op)
         self.value = value
-        self._saved: list[tuple[str, object]] = []
         self._fired = False
 
     def _poison(self, result) -> None:
@@ -124,7 +128,7 @@ class _PoisonOps:
         data.reshape(-1)[0] = self.value
         target.copy_(data)
 
-    def _wrap(self, fn, op_name: str):
+    def wrap_op(self, fn, op_name: str):
         def poisoned(*args, **kwargs):
             out = fn(*args, **kwargs)
             if not self._fired:
@@ -135,23 +139,6 @@ class _PoisonOps:
         poisoned.__name__ = getattr(fn, "__name__", op_name)
         poisoned.__doc__ = fn.__doc__
         return poisoned
-
-    def __enter__(self) -> "_PoisonOps":
-        self._fired = False
-        for attr, op_name, is_static in TENSOR_OPS:
-            if op_name != self.op:
-                continue
-            original = Tensor.__dict__[attr]
-            self._saved.append((attr, original))
-            fn = original.__func__ if is_static else original
-            wrapped = self._wrap(fn, op_name)
-            setattr(Tensor, attr, staticmethod(wrapped) if is_static else wrapped)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for attr, original in reversed(self._saved):
-            setattr(Tensor, attr, original)
-        self._saved.clear()
 
 
 class ActivationFault(Fault):
@@ -207,20 +194,13 @@ class CrashFault(Fault):
             raise SimulatedCrash(f"simulated process kill after epoch {epoch + 1}")
 
 
-class _ComposedContext:
-    """Enter a list of context managers; exit them in reverse order."""
-
-    def __init__(self, contexts) -> None:
-        self._contexts = list(contexts)
-
-    def __enter__(self) -> "_ComposedContext":
-        for ctx in self._contexts:
-            ctx.__enter__()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for ctx in reversed(self._contexts):
-            ctx.__exit__(*exc_info)
+@contextlib.contextmanager
+def _entered(contexts):
+    """Enter ``contexts`` in order; exit them in reverse order."""
+    with contextlib.ExitStack() as stack:
+        for ctx in contexts:
+            stack.enter_context(ctx)
+        yield
 
 
 class FaultSchedule:
@@ -248,7 +228,7 @@ class FaultSchedule:
             for fault in self.faults
             if (ctx := fault.activation_context(step)) is not None
         ]
-        return _ComposedContext(contexts)
+        return _entered(contexts)
 
     def corrupt_gradients(self, step: int, parameters) -> None:
         """Let every injector poison gradients for ``step``."""

@@ -17,22 +17,10 @@ from ..tensor import Tensor, inference_mode
 
 __all__ = ["Parameter", "Module"]
 
-# Observability hook (installed by repro.obs.profiler, None otherwise).  When
-# set, Module.__call__ wraps each forward pass in the context manager the hook
-# returns, giving the profiler a named-scope breakdown of where time goes.
-# The disabled path costs one global read and a predicted branch per module
-# call — module calls are orders of magnitude rarer than tensor ops.
+# Forward-scope hook, set only by repro.tensor.instrument (None when nothing
+# is attached): Module.__call__ runs each forward inside the context manager
+# it returns.  Disabled, it costs one global read per module call.
 _FORWARD_SCOPE_HOOK = None
-
-
-def _set_forward_scope_hook(hook) -> None:
-    """Install (or clear, with ``None``) the profiler's forward-scope hook.
-
-    ``hook(module)`` must return a context manager; the module's forward pass
-    runs inside it.  Used exclusively by :mod:`repro.obs.profiler`.
-    """
-    global _FORWARD_SCOPE_HOOK
-    _FORWARD_SCOPE_HOOK = hook
 
 
 class Parameter(Tensor):

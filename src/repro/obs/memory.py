@@ -20,9 +20,9 @@ byte count (the T001 consistency check) and ``peak_bytes`` the honest
 "what the engine holds today" baseline that the arena plan's projected
 peak is judged against.
 
-Like :class:`repro.obs.Profiler` it is a method-swap instrument — active
-only inside the ``with`` block, chaining the backward hook so it composes
-with other instruments.
+Like :class:`repro.obs.Profiler` it is an
+:class:`~repro.tensor.instrument.Instrument`: attached only inside the
+``with`` block, and composed with whatever other instruments are active.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import weakref
 
 import numpy as np
 
-from ..tensor import tensor as _tensor_mod
-from ..tensor.tensor import Tensor
+from ..tensor.instrument import Instrument
 
 __all__ = ["MemoryWatermark"]
 
@@ -43,7 +42,7 @@ def _root(array: object) -> object:
     return array
 
 
-class MemoryWatermark:
+class MemoryWatermark(Instrument):
     """Track allocated / live / peak bytes of op and gradient buffers.
 
     Usage::
@@ -60,8 +59,6 @@ class MemoryWatermark:
     so the peak is deterministic.
     """
 
-    _active = False
-
     def __init__(self) -> None:
         self.total_bytes = 0
         self.live_bytes = 0
@@ -69,8 +66,6 @@ class MemoryWatermark:
         self.buffers = 0
         self._refs: dict[int, weakref.ref] = {}
         self._closed = False
-        self._original_make = None
-        self._previous_hook = None
 
     # -- registration ---------------------------------------------------
 
@@ -107,45 +102,28 @@ class MemoryWatermark:
 
     # -- instrumentation ------------------------------------------------
 
-    def __enter__(self) -> "MemoryWatermark":
-        if MemoryWatermark._active:
-            raise RuntimeError("a MemoryWatermark is already active")
-        MemoryWatermark._active = True
+    def wrap_make(self, make):
         register = self._register
 
-        self._original_make = Tensor.__dict__["_make"]
-        original_make_fn = self._original_make.__func__
-
         def watching_make(data, parents, backward, op):
-            out = original_make_fn(data, parents, backward, op)
+            out = make(data, parents, backward, op)
             if out._backward is not None:
                 # An output that views a parent's payload aliases that
                 # parent; only a private buffer behind the view is new.
                 register(out.data, frozenset(id(_root(p.data)) for p in parents))
             return out
 
-        Tensor._make = staticmethod(watching_make)
+        return watching_make
 
-        previous = _tensor_mod._BACKWARD_OP_HOOK
-        self._previous_hook = previous
-
-        def hook(node):
-            register(node.grad)  # covers the root's seed gradient
-            if previous is None:
-                node._backward(node.grad)
-            else:
-                previous(node)
-            for parent in node._parents:
-                if parent.grad is not None:
-                    register(parent.grad)
-
-        _tensor_mod._set_backward_op_hook(hook)
-        return self
+    def wrap_backward(self, node, inner) -> None:
+        self._register(node.grad)  # covers the root's seed gradient
+        inner(node)
+        for parent in node._parents:
+            if parent.grad is not None:
+                self._register(parent.grad)
 
     def __exit__(self, *exc_info) -> None:
-        _tensor_mod._set_backward_op_hook(self._previous_hook)
-        Tensor._make = self._original_make
-        MemoryWatermark._active = False
+        super().__exit__(*exc_info)
         self._closed = True  # freeze the numbers; late weakref callbacks no-op
 
     # -- reporting ------------------------------------------------------

@@ -16,13 +16,10 @@ time per scope).
 
 Zero overhead when disabled
 ---------------------------
-Forward ops are instrumented by *swapping* the methods on ``Tensor`` (and
-the composite functions on ``repro.tensor.functional``) for timed wrappers
-on ``__enter__`` and restoring the originals on ``__exit__`` — outside a
-profiling block the original, unmodified code runs.  The backward pass and
-module scoping use the pre-wired hook points in ``repro.tensor.tensor`` and
-``repro.nn.module``, which cost a single global read and a predicted branch
-when no profiler is active.
+The profiler is an :class:`~repro.tensor.instrument.Instrument` timing
+every op, backward closure and module scope while attached; outside a
+profiling block the unmodified engine runs.  It also swaps the composites on
+``repro.tensor.functional`` for timed wrappers for the same span.
 
 Usage::
 
@@ -34,7 +31,8 @@ Usage::
     print(prof.format_table(top=10))
     payload = prof.to_dict()          # JSON-ready
 
-Only one profiler may be active at a time (nesting raises).
+Only one profiler may be active at a time (nesting raises); it composes
+with the other instruments and may exit before or after them.
 """
 
 from __future__ import annotations
@@ -42,11 +40,9 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 
-from ..nn import module as _module_mod
 from ..nn.module import Module
 from ..tensor import functional as _functional
-from ..tensor import tensor as _tensor_mod
-from ..tensor.ops_registry import TENSOR_OPS as _TENSOR_OPS
+from ..tensor.instrument import Instrument, attach, detach
 from ..tensor.tensor import Tensor
 from ..utils.timer import now
 
@@ -111,7 +107,7 @@ class _ScopeFrame:
     child_time: float = 0.0
 
 
-class Profiler:
+class Profiler(Instrument):
     """Context manager that instruments the tensor engine while active.
 
     See the module docstring for the measurement model.  Attributes after
@@ -125,16 +121,13 @@ class Profiler:
         wall-clock seconds the profiling block spanned.
     """
 
-    _active: "Profiler | None" = None  # class-level: at most one at a time
-
     def __init__(self) -> None:
         self.ops: dict[tuple[str, str], OpStat] = {}
         self.scopes: dict[str, ScopeStat] = {}
         self.elapsed: float = 0.0
-        self._saved: list[tuple[object, str, object]] = []
+        self._saved: dict[str, object] = {}
         self._scope_stack: list[_ScopeFrame] = []
         self._started: float = 0.0
-        self._previous_hook = None
 
     # ------------------------------------------------------------------
     # Recording
@@ -148,20 +141,15 @@ class Profiler:
         stat.time += seconds
         stat.bytes += nbytes
 
-    def _backward_hook(self, node: Tensor) -> None:
+    def wrap_backward(self, node: Tensor, inner) -> None:
         grad = node.grad
         start = now()
-        # Chain to any hook that was installed before this profiler (e.g. a
-        # repro.check sanitizer) — it is responsible for running the closure.
-        if self._previous_hook is None:
-            node._backward(grad)
-        else:
-            self._previous_hook(node)
+        inner(node)
         self._record(node._op or "leaf", "backward", now() - start,
                      int(grad.nbytes) if grad is not None else 0)
 
     @contextlib.contextmanager
-    def _scope_hook(self, module: Module):
+    def wrap_scope(self, module: Module):
         frame = _ScopeFrame(module.scope_name, now())
         self._scope_stack.append(frame)
         try:
@@ -178,7 +166,7 @@ class Profiler:
             if self._scope_stack:
                 self._scope_stack[-1].child_time += total
 
-    def _wrap_forward(self, fn, op_name: str):
+    def wrap_op(self, fn, op_name: str):
         def profiled(*args, **kwargs):
             start = now()
             out = fn(*args, **kwargs)
@@ -193,33 +181,18 @@ class Profiler:
     # Instrumentation lifecycle
     # ------------------------------------------------------------------
     def __enter__(self) -> "Profiler":
-        if Profiler._active is not None:
-            raise RuntimeError("a Profiler is already active; profilers do not nest")
-        Profiler._active = self
+        attach(self)
         self._started = now()
-        for attr, op_name, is_static in _TENSOR_OPS:
-            original = Tensor.__dict__[attr]
-            self._saved.append((Tensor, attr, original))
-            fn = original.__func__ if is_static else original
-            wrapped = self._wrap_forward(fn, op_name)
-            setattr(Tensor, attr, staticmethod(wrapped) if is_static else wrapped)
-        for name in _functional.PROFILED_COMPOSITES:
-            original = getattr(_functional, name)
-            self._saved.append((_functional, name, original))
-            setattr(_functional, name, self._wrap_forward(original, name))
-        self._previous_hook = _tensor_mod._BACKWARD_OP_HOOK
-        _tensor_mod._set_backward_op_hook(self._backward_hook)
-        _module_mod._set_forward_scope_hook(self._scope_hook)
+        self._saved = {name: getattr(_functional, name) for name in _functional.PROFILED_COMPOSITES}
+        for name, original in self._saved.items():
+            setattr(_functional, name, self.wrap_op(original, name))
         return self
 
     def __exit__(self, *exc_info) -> None:
-        _tensor_mod._set_backward_op_hook(self._previous_hook)
-        _module_mod._set_forward_scope_hook(None)
-        for target, attr, original in reversed(self._saved):
-            setattr(target, attr, original)
-        self._saved.clear()
+        for name, original in self._saved.items():
+            setattr(_functional, name, original)
+        detach(self)
         self.elapsed += now() - self._started
-        Profiler._active = None
 
     # ------------------------------------------------------------------
     # Reporting

@@ -81,7 +81,6 @@ class ServeConfig:
     max_wait_s: float = 0.002
     request_timeout_s: float = 30.0
     cache_capacity: int = 256
-    anomaly_check: bool = True
     policy: DegradationPolicy = field(default_factory=DegradationPolicy)
     op_timeouts_s: dict = field(default_factory=dict)
     supervision: SupervisionPolicy | None = None
@@ -135,7 +134,7 @@ class EngineCore:
             registry.resolve,
             max_batch=self.config.max_batch,
             max_wait_s=self.config.max_wait_s,
-            anomaly_check=self.config.anomaly_check,
+            anomaly_check=True,  # every serving forward is NaN/Inf-guarded
         )
         self._lock = threading.Lock()
         self._latencies: list[float] = []

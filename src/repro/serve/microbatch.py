@@ -17,7 +17,9 @@ requests two ways:
 
 Batching is exact, not approximate: with 2-D weight matrices a batched
 matmul is the same per-sample GEMMs stacked, so batched outputs are
-bit-identical to single-request outputs — asserted by the serve benchmark.
+bit-identical to single-request outputs whenever each request's GEMMs have
+more than one row (B·N > 1, true of every D²STGNN forward) — asserted by
+the serve benchmark.
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ class MicroBatcher:
         self._lock = threading.Lock()
         self.requests_served = 0
         self.batches = 0
-        self.batch_sizes: list[int] = []
         self.queue_depth_max = 0
 
     # ------------------------------------------------------------------
@@ -130,7 +131,6 @@ class MicroBatcher:
         with self._lock:
             self.batches += 1
             self.requests_served += len(requests)
-            self.batch_sizes.append(len(requests))
         return [out_np[i : i + 1] for i in range(len(requests))], version
 
     # ------------------------------------------------------------------

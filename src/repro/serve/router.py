@@ -132,7 +132,6 @@ class ShardedServingEngine:
         self.sink = sink
         self._version_counter = 1
         self.active_version = "v1"
-        self._fallback_profiles = {"v1": bundle.fallback_profile}
         self._bundles = {"v1": bundle}  # publish-ordered full-graph catalog
         transport_cls = _TRANSPORTS[transport]
         self.workers = [
@@ -339,7 +338,7 @@ class ShardedServingEngine:
                 shed_now = True
                 self._shed += 1
                 last_tod, last_dow = self._last_time
-                profile = self._fallback_profiles[self.active_version]
+                profile = self._bundles[self.active_version].fallback_profile
                 version = self.active_version
             else:
                 self._inflight += 1
@@ -374,7 +373,7 @@ class ShardedServingEngine:
         if failed:
             last_tod, last_dow = self.last_time()
             with self._state_lock:
-                profile = self._fallback_profiles[self.active_version]
+                profile = self._bundles[self.active_version].fallback_profile
             full_fallback = fallback_forecast(
                 profile, last_tod, last_dow, horizon, self.bundle.spec.steps_per_day
             )
@@ -433,7 +432,6 @@ class ShardedServingEngine:
         with self._state_lock:
             self._version_counter += 1
             version = f"v{self._version_counter}"
-            self._fallback_profiles[version] = bundle.fallback_profile
             self._bundles[version] = bundle
         with self._rpc_lock:
             outcomes = self._broadcast_locked(
@@ -453,7 +451,7 @@ class ShardedServingEngine:
     def activate(self, version: str) -> None:
         """Hot-swap every shard to a published version (failed shards fenced)."""
         with self._state_lock:
-            if version not in self._fallback_profiles:
+            if version not in self._bundles:
                 raise KeyError(f"unknown version {version!r}")
         with self._rpc_lock:
             outcomes = self._broadcast_locked(

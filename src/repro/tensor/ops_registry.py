@@ -1,13 +1,14 @@
 """Registry of the engine's primitive-op surface.
 
-One table, shared by every tool that instruments the tensor engine by
-swapping methods on :class:`~repro.tensor.Tensor` while active (the PR 1
-method-swap pattern, zero overhead when nothing is instrumented):
+One table, the default op set of every instrument that wraps ops through
+:mod:`repro.tensor.instrument` (zero overhead when nothing is attached):
 
 * the op-level profiler (:mod:`repro.obs.profiler`) wraps each entry in a
   timed closure;
 * the anomaly sanitizer (:mod:`repro.check.sanitizers`) wraps each entry in
-  a NaN/Inf check that names the offending op.
+  a NaN/Inf check that names the offending op;
+* the activation fault injector (:mod:`repro.faults.injectors`) wraps the
+  one entry it poisons.
 
 Each entry is ``(attribute on Tensor, recorded op name, is_staticmethod)``.
 Reflexive dunders (``__radd__`` etc.) alias the same underlying function but

@@ -61,42 +61,16 @@ class _GradMode(threading.local):
 
 _GRAD_MODE = _GradMode()
 
-# Observability hook (installed by repro.obs.profiler, None otherwise).  When
-# set, backward() routes each node's gradient closure through it so the
-# profiler can time individual backward ops.  The disabled path costs one
-# global read per backward() call plus a predicted branch per node — far below
-# the numpy work each node performs, so profiling is free when off.
+# Hook globals, set only by repro.tensor.instrument (None when nothing is
+# attached).  backward() routes each node's closure through the backward
+# hook, which runs ``node._backward(node.grad)`` itself: one global read per
+# backward() plus a predicted branch per node when disabled.
 _BACKWARD_OP_HOOK: Callable[["Tensor"], None] | None = None
 
-
-def _set_backward_op_hook(hook: Callable[["Tensor"], None] | None) -> None:
-    """Install (or clear, with ``None``) the profiler's backward-op hook.
-
-    The hook receives each graph node in reverse-topological order and is
-    responsible for invoking ``node._backward(node.grad)`` itself, timing it
-    as it sees fit.  Used exclusively by :mod:`repro.obs.profiler`.
-    """
-    global _BACKWARD_OP_HOOK
-    _BACKWARD_OP_HOOK = hook
-
-
-# Anomaly hook (installed by repro.check.sanitizers.detect_anomaly, None
-# otherwise).  Fused primitives pass each intermediate product their
-# composite form would have exposed as an op output through it, so the
-# guard keeps its per-op coverage inside them.  The disabled path costs one
-# global read per fused op.
+# Fused primitives pass each intermediate product their composite form would
+# have exposed as an op output through this check, so detect_anomaly keeps
+# its per-op coverage inside them (one global read per fused op when off).
 _INTERNAL_CHECK_HOOK: Callable[[np.ndarray, str], None] | None = None
-
-
-def _set_internal_check_hook(hook: Callable[[np.ndarray, str], None] | None) -> None:
-    """Install (or clear, with ``None``) the check on fused ops' internals.
-
-    The hook receives ``(array, op name)`` for every intermediate array a
-    fused primitive computes and raises if it rejects the values.  Used
-    exclusively by :func:`repro.check.sanitizers.detect_anomaly`.
-    """
-    global _INTERNAL_CHECK_HOOK
-    _INTERNAL_CHECK_HOOK = hook
 
 
 # Free list of gradient buffers, keyed by (shape, dtype).  Every train step

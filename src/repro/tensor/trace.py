@@ -18,10 +18,10 @@ forward+backward program:
   just accumulated.
 
 Like every instrument in this repository (``repro.obs.Profiler``, the
-``repro.check`` sanitizers) it uses the method-swap pattern: installed on
-``__enter__``, fully removed on ``__exit__``, zero overhead when inactive.
-The backward hook chains with any previously installed hook, so tracing
-composes with the profiler and the sanitizers.
+``repro.check`` sanitizers) it is an
+:class:`~repro.tensor.instrument.Instrument`: attached on ``__enter__``,
+detached on ``__exit__``, zero overhead when inactive, and composed with
+whatever other instruments are active.
 
 The tracer reports events; it does not interpret them.  The interpretation
 — a flat SSA-like instruction program with lifetimes, aliasing and version
@@ -30,7 +30,7 @@ stamps — lives in :mod:`repro.check.tape.ir`.
 
 from __future__ import annotations
 
-from . import tensor as _tensor_mod
+from .instrument import Instrument
 from .tensor import Tensor
 
 __all__ = ["TraceListener", "GraphTracer"]
@@ -71,7 +71,7 @@ class TraceListener:
         intact)."""
 
 
-class GraphTracer:
+class GraphTracer(Instrument):
     """Context manager that streams engine events to a :class:`TraceListener`.
 
     Only one tracer may be active at a time (nesting raises).  The traced
@@ -80,89 +80,40 @@ class GraphTracer:
     events in the engine's reverse-topological processing order.
     """
 
-    _active = False
+    # Graph-external reads: they still count as uses.
+    op_table = (("numpy", "numpy", False), ("item", "item", False), ("detach", "detach", False))
 
     def __init__(self, listener: TraceListener) -> None:
         self.listener = listener
-        self._saved: list[tuple[str, object]] = []
-        self._member = None
-        self._previous_hook = None
 
-    def __enter__(self) -> "GraphTracer":
-        if GraphTracer._active:
-            raise RuntimeError("a GraphTracer is already active; tracers do not nest")
-        GraphTracer._active = True
+    def wrap_op(self, fn, op_name: str):
         listener = self.listener
 
-        # 1. Node creation: wrap Tensor._make, reporting tracked nodes only
-        # (untracked results carry no closure and are not part of the
-        # differentiable program).
-        original_make = Tensor.__dict__["_make"]
-        original_make_fn = original_make.__func__
-        self._saved.append(("_make", original_make))
+        def traced_export(tensor, *args, **kwargs):
+            listener.on_export(tensor, op_name)
+            return fn(tensor, *args, **kwargs)
+
+        traced_export.__name__ = op_name
+        traced_export.__doc__ = fn.__doc__
+        return traced_export
+
+    def wrap_make(self, make):
+        # Untracked results carry no closure: not part of the program.
+        listener = self.listener
 
         def traced_make(data, parents, backward, op):
-            out = original_make_fn(data, parents, backward, op)
+            out = make(data, parents, backward, op)
             if out._backward is not None:
                 listener.on_node(out, tuple(parents), op)
             return out
 
-        Tensor._make = staticmethod(traced_make)
+        return traced_make
 
-        # 2. Mutations: swap the `data` slot for a reporting property (the
-        # guard_mutations pattern).  Initial assignment in __init__ finds
-        # the slot unset and is not a mutation.
-        member = Tensor.__dict__["data"]
-        self._member = member
+    def on_data_set(self, tensor, previous, value) -> None:
+        if previous is not None:  # the first assignment is not a mutation
+            self.listener.on_mutation(tensor, "inplace" if value is previous else "rebind")
 
-        def _get(tensor):
-            return member.__get__(tensor, Tensor)
-
-        def _set(tensor, value):
-            try:
-                previous = member.__get__(tensor, Tensor)
-            except AttributeError:
-                previous = None
-            member.__set__(tensor, value)
-            if previous is not None:
-                listener.on_mutation(
-                    tensor, "inplace" if value is previous else "rebind"
-                )
-
-        setattr(Tensor, "data", property(_get, _set))
-
-        # 3. Exports: graph-external reads still count as uses.
-        for name in ("numpy", "item", "detach"):
-            original = Tensor.__dict__[name]
-            self._saved.append((name, original))
-
-            def traced_export(tensor, *args, _fn=original, _how=name, **kwargs):
-                listener.on_export(tensor, _how)
-                return _fn(tensor, *args, **kwargs)
-
-            traced_export.__name__ = name
-            traced_export.__doc__ = original.__doc__
-            setattr(Tensor, name, traced_export)
-
-        # 4. Backward: chain the engine's per-node hook.
-        previous = _tensor_mod._BACKWARD_OP_HOOK
-        self._previous_hook = previous
-
-        def hook(node):
-            listener.on_backward_begin(node)
-            if previous is None:
-                node._backward(node.grad)
-            else:
-                previous(node)
-            listener.on_backward_end(node)
-
-        _tensor_mod._set_backward_op_hook(hook)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _tensor_mod._set_backward_op_hook(self._previous_hook)
-        setattr(Tensor, "data", self._member)
-        for name, original in reversed(self._saved):
-            setattr(Tensor, name, original)
-        self._saved.clear()
-        GraphTracer._active = False
+    def wrap_backward(self, node, inner) -> None:
+        self.listener.on_backward_begin(node)
+        inner(node)
+        self.listener.on_backward_end(node)

@@ -336,7 +336,7 @@ class Trainer:
         cfg = self.config
         policy = cfg.recovery
         if cfg.detect_anomaly:
-            # Lazy import: the sanitizer's method swap is only needed when on.
+            # Lazy import: the sanitizer is only needed when on.
             from ..check.sanitizers import detect_anomaly
 
             def step_guard():

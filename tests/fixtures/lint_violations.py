@@ -56,3 +56,8 @@ def bad_persistence(path, arrays):
     np.savez(path, **arrays)              # line 56: R006
     np.savez_compressed(path, **arrays)   # line 57: R006
     np.savez(path, **arrays)  # lint: disable=R006
+
+
+def bad_engine_patches(fn):
+    setattr(Tensor, "exp", fn)            # line 62: R012
+    Tensor.exp = fn                       # line 63: R012

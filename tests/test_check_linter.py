@@ -36,6 +36,8 @@ EXPECTED = [
     (51, "R005"),  # time.perf_counter()
     (56, "R006"),  # raw np.savez
     (57, "R006"),  # raw np.savez_compressed
+    (62, "R012"),  # setattr(Tensor, ...)
+    (63, "R012"),  # assignment to a Tensor class attribute
 ]
 
 
@@ -362,6 +364,38 @@ class TestEventSeeds:
         assert self._lint(tmp_path, "src/repro/faults/events.py", body) == []
 
 
+class TestEnginePatches:
+    """R012: only the instrumentation seam patches the tensor engine."""
+
+    def _lint(self, tmp_path: Path, rel: str, body: str):
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(body)
+        return [f.rule for f in lint_file(path, relative_to=tmp_path)]
+
+    def test_module_call_and_global_hook_writes_fire(self, tmp_path):
+        body = (
+            "def swap(call, hook):\n"
+            "    global _FORWARD_SCOPE_HOOK\n"
+            "    Module.__call__ = call\n"
+            "    _FORWARD_SCOPE_HOOK = hook\n"
+        )
+        assert self._lint(tmp_path, "src/repro/nn/module.py", body) == ["R012", "R012"]
+
+    def test_module_level_declaration_is_not_a_patch(self, tmp_path):
+        body = "_BACKWARD_OP_HOOK: object = None\n"
+        assert self._lint(tmp_path, "src/repro/tensor/tensor.py", body) == []
+
+    def test_the_seam_may_patch(self, tmp_path):
+        body = (
+            "def rebuild(make, hook):\n"
+            "    setattr(Tensor, '_make', make)\n"
+            "    _tensor_mod._BACKWARD_OP_HOOK = hook\n"
+        )
+        assert self._lint(tmp_path, "src/repro/tensor/instrument.py", body) == []
+        assert self._lint(tmp_path, "src/repro/tensor/trace.py", body) == ["R012", "R012"]
+
+
 # One (scoped path, violating body, compliant body) triple per rule: the
 # violating body must fire exactly that rule at that path, the compliant
 # body must be silent, and a `# lint: disable=<rule>` on the violating line
@@ -430,6 +464,13 @@ RULE_FIXTURES = {
         "src/repro/data/events.py",
         "class Flood(Event):\n    start: int = 0\n",
         "class Flood(Event):\n    start: int = 0\n    seed: int = 0\n",
+    ),
+    "R012": (
+        "src/repro/obs/anything.py",
+        "def install(hook):\n    _tensor_mod._BACKWARD_OP_HOOK = hook\n",
+        "class Probe(Instrument):\n"
+        "    def wrap_backward(self, node, inner):\n"
+        "        inner(node)\n",
     ),
 }
 
@@ -557,7 +598,7 @@ class TestRuleTable:
     def test_rules_are_documented(self):
         assert set(LINT_RULES) == {
             "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
-            "R009", "R010", "R011",
+            "R009", "R010", "R011", "R012",
         }
         for rule, description in LINT_RULES.items():
             assert description, rule

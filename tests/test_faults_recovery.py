@@ -198,7 +198,9 @@ class TestRecovery:
             TinyForecaster(), tiny_data, _config(detect_anomaly=True),
             faults=FaultSchedule([ActivationFault(step=0, op="relu")]),
         )
-        with pytest.raises(AnomalyError):
+        # The guard enters after the fault, so it is outermost and sees the
+        # poisoned output of the op itself.
+        with pytest.raises(AnomalyError, match="op 'relu'"):
             trainer.fit()
 
     def test_without_policy_nan_counts_against_patience(self, tiny_data):

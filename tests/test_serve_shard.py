@@ -236,6 +236,13 @@ class TestShardedEngine:
             with pytest.raises(KeyError):
                 engine.activate("v9")
 
+    def test_activate_unknown_version_after_publish_keeps_active(self, bundle, bundle_v2):
+        with ShardedServingEngine(bundle, num_shards=2, transport="loopback") as engine:
+            engine.publish(bundle_v2)
+            with pytest.raises(KeyError, match="v99"):
+                engine.activate("v99")
+            assert engine.active_version == "v2"
+
     def test_admission_control_sheds(self, bundle, tiny_data):
         config = ServeConfig(
             policy=DegradationPolicy(max_inflight=0, shed_on_overload=True)
