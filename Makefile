@@ -42,9 +42,6 @@ ci: lint docs-check test-faults test bench-smoke serve-smoke serve-scale-smoke s
 profile:
 	python -m repro profile --dataset metr-la-sim --model d2stgnn --out benchmarks/results/profile.json
 
-test-output:
-	pytest tests/ 2>&1 | tee test_output.txt
-
 bench:
 	pytest benchmarks/ --benchmark-only
 
@@ -59,7 +56,8 @@ bench-smoke:
 
 # Serving regression gate: replays a request trace through the online
 # inference stack and asserts batched forwards are bit-identical to (and at
-# least 3x faster than) sequential single-request forwards.
+# least 3x faster than) sequential single-request forwards; every forward,
+# batched or single, runs under the NaN/Inf anomaly guard, as in serving.
 serve-smoke:
 	REPRO_BENCH_PROFILE=tiny pytest benchmarks/bench_serve.py --benchmark-only -q
 
@@ -87,9 +85,6 @@ serve-chaos-smoke:
 # profiles write benchmarks/results/serve_scenarios.json.
 scenario-smoke:
 	REPRO_BENCH_PROFILE=tiny pytest benchmarks/bench_serve_scenarios.py --benchmark-only -q
-
-bench-output:
-	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 bench-full:
 	REPRO_BENCH_PROFILE=full pytest benchmarks/ --benchmark-only

@@ -14,7 +14,8 @@ against (see ``docs/observability.md``):
 * :class:`MetricsSink` and friends — pluggable JSON-lines destinations for
   the trainer's per-epoch telemetry (throughput, gradient norms, memory
   high-water mark, scheduled-sampling state).
-* :mod:`repro.obs.telemetry` — the telemetry record schema, in one place.
+* :mod:`repro.obs.telemetry` — the telemetry record schema, in one place,
+  and :class:`ServingTally`, the one counter behind every serving report.
 
 Entry points: ``with Profiler() as prof: ...`` in code, ``repro profile``
 on the command line (``make profile`` refreshes the tracked
@@ -34,6 +35,7 @@ from .stepbench import (
 )
 from .telemetry import (
     TELEMETRY_SCHEMA,
+    ServingTally,
     epoch_record,
     latency_summary_ms,
     memory_high_water_mark_bytes,
@@ -54,6 +56,7 @@ __all__ = [
     "Profiler",
     "REFERENCE_CONFIG",
     "ScopeStat",
+    "ServingTally",
     "StdoutSink",
     "TELEMETRY_SCHEMA",
     "annotate_model_scopes",

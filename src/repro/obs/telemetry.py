@@ -7,19 +7,23 @@ is documented for consumers in ``docs/observability.md``.
 
 Every record carries ``schema`` (:data:`TELEMETRY_SCHEMA`) and ``event``
 (``"epoch"``, ``"train_end"``, ``"sanitizer"``, ``"recovery"``,
-``"resume"`` or ``"serving"``) keys.  :func:`latency_summary_ms` is the one
-latency summary every serving report uses.
+``"resume"`` or ``"serving"``) keys.  :class:`ServingTally` is the one
+counter of served answers (by source and fallback reason) and their
+latencies that every serving report is built from, and
+:func:`latency_summary_ms` the one latency summary.
 """
 
 from __future__ import annotations
 
 import resource
 import sys
+import threading
 
 import numpy as np
 
 __all__ = [
     "TELEMETRY_SCHEMA",
+    "ServingTally",
     "epoch_record",
     "latency_summary_ms",
     "recovery_record",
@@ -147,52 +151,92 @@ def resume_record(*, epoch: int, global_step: int, path: str) -> dict:
 
 
 def serving_record(
+    summary: dict,
     *,
-    requests: int,
     batches: int,
     mean_batch_size: float,
-    latency_ms_p50: float,
-    latency_ms_p95: float,
-    latency_ms_p99: float,
     queue_depth_max: int,
     cache_hits: int,
     cache_misses: int,
     cache_hit_rate: float,
-    fallbacks: int,
-    fallback_reasons: dict,
-    served_by_model: int,
-    served_by_cache: int,
     active_version: str | None,
 ) -> dict:
     """Build the serving-telemetry summary record.
 
     Emitted by :meth:`repro.serve.ServingEngine.emit_telemetry`: one record
-    summarising everything since engine start — request/batch counts, the
-    micro-batcher's coalescing quality (``mean_batch_size``,
-    ``queue_depth_max``), end-to-end latency percentiles in milliseconds,
-    prediction-cache effectiveness, and how often (and why) the engine fell
-    back to the historical-average degradation path.
+    summarising everything since engine start.  ``summary`` is a
+    :meth:`ServingTally.summary` and supplies the request count, end-to-end
+    latency percentiles in milliseconds, and how often (and why) the engine
+    fell back to the historical-average degradation path; the keywords add
+    the micro-batcher's coalescing quality (``mean_batch_size``,
+    ``queue_depth_max``) and prediction-cache effectiveness.
     """
+    sources = summary["sources"]
+    latency = summary["latency_ms"]
     return {
         "schema": TELEMETRY_SCHEMA,
         "event": "serving",
-        "requests": requests,
+        "requests": summary["requests"],
         "batches": batches,
         "mean_batch_size": mean_batch_size,
-        "latency_ms_p50": latency_ms_p50,
-        "latency_ms_p95": latency_ms_p95,
-        "latency_ms_p99": latency_ms_p99,
+        "latency_ms_p50": latency["p50"],
+        "latency_ms_p95": latency["p95"],
+        "latency_ms_p99": latency["p99"],
         "queue_depth_max": queue_depth_max,
         "cache_hits": cache_hits,
         "cache_misses": cache_misses,
         "cache_hit_rate": cache_hit_rate,
-        "fallbacks": fallbacks,
-        "fallback_reasons": dict(fallback_reasons),
-        "served_by_model": served_by_model,
-        "served_by_cache": served_by_cache,
+        "fallbacks": sources["fallback"],
+        "fallback_reasons": dict(summary["fallback_reasons"]),
+        "served_by_model": sources["model"],
+        "served_by_cache": sources["cache"],
         "active_version": active_version,
         "memory_peak_bytes": memory_high_water_mark_bytes(),
     }
+
+
+class ServingTally:
+    """Served answers counted by source and fallback reason, with their latencies.
+
+    :meth:`add` takes one answer's ``source`` (``"model"``, ``"cache"`` or
+    ``"fallback"``), its fallback ``reason`` (``None`` unless it degraded)
+    and its latency in seconds.  Safe to share between threads: the tally
+    owns the lock that guards it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._sources = {"model": 0, "cache": 0, "fallback": 0}
+        self._reasons: dict[str, int] = {}
+        self._latencies: list[float] = []
+
+    def add(self, source: str, reason: str | None, latency_s: float) -> None:
+        """Count one answer."""
+        with self._lock:
+            self._sources[source] += 1
+            if reason is not None:
+                self._reasons[reason] = self._reasons.get(reason, 0) + 1
+            self._latencies.append(latency_s)
+
+    def summary(self) -> dict:
+        """The counts so far, as a JSON-ready dict.
+
+        Keys: ``requests``; ``sources`` (dense: all three always present);
+        ``fallback_reasons``; ``fallback_rate`` (fallbacks per request, 0.0
+        when empty); ``latency_ms`` (:func:`latency_summary_ms`).
+        """
+        with self._lock:
+            sources = dict(self._sources)
+            reasons = dict(self._reasons)
+            latencies = list(self._latencies)
+        requests = len(latencies)
+        return {
+            "requests": requests,
+            "sources": sources,
+            "fallback_reasons": reasons,
+            "fallback_rate": sources["fallback"] / requests if requests else 0.0,
+            "latency_ms": latency_summary_ms(latencies),
+        }
 
 
 def latency_summary_ms(latencies_s) -> dict:

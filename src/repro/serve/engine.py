@@ -26,20 +26,20 @@ One ``forecast`` call walks the full serving decision ladder:
    fallback (or re-raise, per policy).
 
 Every answer is a :class:`ForecastResult` in raw units, stamped with its
-source, servable version and end-to-end latency; :meth:`emit_telemetry`
-summarises the run through :func:`repro.obs.serving_record` into any
+source, servable version and end-to-end latency, and counted in the
+core's :class:`~repro.obs.ServingTally`; :meth:`emit_telemetry` summarises
+the run through :func:`repro.obs.serving_record` into any
 :class:`~repro.obs.MetricsSink`.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..check.sanitizers import AnomalyError
-from ..obs.telemetry import latency_summary_ms, serving_record
+from ..obs.telemetry import ServingTally, serving_record
 from ..utils.timer import now
 from .cache import PredictionCache
 from .degrade import DegradationPolicy, SupervisionPolicy, fallback_forecast
@@ -134,13 +134,8 @@ class EngineCore:
             registry.resolve,
             max_batch=self.config.max_batch,
             max_wait_s=self.config.max_wait_s,
-            anomaly_check=True,  # every serving forward is NaN/Inf-guarded
         )
-        self._lock = threading.Lock()
-        self._latencies: list[float] = []
-        self._served_by_model = 0
-        self._served_by_cache = 0
-        self._fallback_reasons: dict[str, int] = {}
+        self.tally = ServingTally()
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -234,14 +229,7 @@ class EngineCore:
         reason: str | None, start: float,
     ) -> ForecastResult:
         latency = now() - start
-        with self._lock:
-            self._latencies.append(latency)
-            if source == "model":
-                self._served_by_model += 1
-            elif source == "cache":
-                self._served_by_cache += 1
-            else:
-                self._fallback_reasons[reason] = self._fallback_reasons.get(reason, 0) + 1
+        self.tally.add(source, reason, latency)
         return ForecastResult(
             values=values, source=source, version=version, reason=reason, latency_s=latency
         )
@@ -253,27 +241,14 @@ class EngineCore:
         """The serving summary record (see :func:`repro.obs.serving_record`)."""
         batcher = self.batcher.stats()
         cache = self.cache.stats()
-        with self._lock:
-            latencies_s = list(self._latencies)
-            fallback_reasons = dict(self._fallback_reasons)
-            served_by_model = self._served_by_model
-            served_by_cache = self._served_by_cache
-        latency = latency_summary_ms(latencies_s)
         return serving_record(
-            requests=len(latencies_s),
+            self.tally.summary(),
             batches=batcher["batches"],
             mean_batch_size=batcher["mean_batch_size"],
-            latency_ms_p50=latency["p50"],
-            latency_ms_p95=latency["p95"],
-            latency_ms_p99=latency["p99"],
             queue_depth_max=batcher["queue_depth_max"],
             cache_hits=cache["hits"],
             cache_misses=cache["misses"],
             cache_hit_rate=cache["hit_rate"],
-            fallbacks=sum(fallback_reasons.values()),
-            fallback_reasons=fallback_reasons,
-            served_by_model=served_by_model,
-            served_by_cache=served_by_cache,
             active_version=self.registry.active_version,
         )
 

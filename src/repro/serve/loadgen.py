@@ -37,8 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs.telemetry import latency_summary_ms
+from ..obs.telemetry import ServingTally
 from ..utils.timer import now
+from .replay import warm_tail
 
 __all__ = ["LoadResult", "poisson_arrivals", "run_load"]
 
@@ -91,25 +92,6 @@ class LoadResult:
     timeline: tuple = ()
 
 
-def _warm(engine, data, steps: int):
-    """Warm the engine's window; return the live tail (values, tod, dow)."""
-    series = data.dataset.series
-    values, tod, dow = series.values, series.time_of_day, series.day_of_week
-    history = engine.store.history
-    total = values.shape[0]
-    if total < history + steps:
-        raise ValueError(
-            f"series has {total} steps; need at least history+steps = {history + steps}"
-        )
-    start = total - steps
-    engine.store.warm_from(
-        values[start - history : start],
-        tod[start - history : start],
-        dow[start - history : start],
-    )
-    return values[start:], tod[start:], dow[start:]
-
-
 def _summarise(
     mode: str,
     events: list,
@@ -118,33 +100,27 @@ def _summarise(
 ) -> LoadResult:
     """Collapse ``(completed_at_s, ForecastResult)`` events into a summary."""
     events = sorted(events, key=lambda event: event[0])
-    sources: dict[str, int] = {}
-    fallback_reasons: dict[str, int] = {}
-    latencies = []
-    shed = 0
-    timeline = []
-    for completed_at, result in events:
-        sources[result.source] = sources.get(result.source, 0) + 1
-        if result.reason is not None:
-            fallback_reasons[result.reason] = fallback_reasons.get(result.reason, 0) + 1
-            if result.reason == "shed":
-                shed += 1
-        latencies.append(result.latency_s)
-        timeline.append((float(completed_at), result.source, result.reason))
-    latency = latency_summary_ms(latencies)
+    tally = ServingTally()
+    for _completed_at, result in events:
+        tally.add(result.source, result.reason, result.latency_s)
+    summary = tally.summary()
+    latency = summary["latency_ms"]
     return LoadResult(
         mode=mode,
         requests=len(events),
         duration_s=duration_s,
         offered_rps=offered_rps,
         achieved_rps=len(events) / duration_s if duration_s > 0 else 0.0,
-        shed=shed,
-        sources=sources,
-        fallback_reasons=fallback_reasons,
+        shed=summary["fallback_reasons"].get("shed", 0),
+        sources=summary["sources"],
+        fallback_reasons=summary["fallback_reasons"],
         latency_ms_p50=latency["p50"],
         latency_ms_p95=latency["p95"],
         latency_ms_p99=latency["p99"],
-        timeline=tuple(timeline),
+        timeline=tuple(
+            (float(completed_at), result.source, result.reason)
+            for completed_at, result in events
+        ),
     )
 
 
@@ -203,13 +179,17 @@ def run_load(
     rate.
     """
     pick = _horizon_picker(horizon, horizons)
+    if rps is None and (steps <= 0 or requests_per_step <= 0):
+        raise ValueError("steps and requests_per_step must be positive")
+    series = data.dataset.series
+    tail = warm_tail(engine, series.values, series.time_of_day, series.day_of_week, steps)
     if rps is None:
         return _run_closed(
-            engine, data, steps=steps, requests_per_step=requests_per_step,
+            engine, tail, steps=steps, requests_per_step=requests_per_step,
             concurrency=concurrency, pick=pick, faults=faults,
         )
     return _run_open(
-        engine, data, rps=rps, duration_s=duration_s, steps=steps,
+        engine, tail, rps=rps, duration_s=duration_s, steps=steps,
         concurrency=concurrency, pick=pick, seed=seed,
         observe_interval_s=observe_interval_s, faults=faults,
     )
@@ -226,12 +206,10 @@ def _horizon_picker(horizon, horizons):
 
 
 def _run_closed(
-    engine, data, *, steps: int, requests_per_step: int, concurrency: int,
+    engine, tail, *, steps: int, requests_per_step: int, concurrency: int,
     pick, faults=None,
 ) -> LoadResult:
-    if steps <= 0 or requests_per_step <= 0:
-        raise ValueError("steps and requests_per_step must be positive")
-    values, tod, dow = _warm(engine, data, steps)
+    values, tod, dow = tail
     events = []
     start = now()
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
@@ -252,11 +230,11 @@ def _run_closed(
 
 
 def _run_open(
-    engine, data, *, rps: float, duration_s: float, steps: int,
+    engine, tail, *, rps: float, duration_s: float, steps: int,
     concurrency: int, pick, seed: int,
     observe_interval_s: float | None, faults=None,
 ) -> LoadResult:
-    values, tod, dow = _warm(engine, data, steps)
+    values, tod, dow = tail
     arrivals = poisson_arrivals(rps, duration_s, seed)
     if observe_interval_s is None:
         observe_interval_s = duration_s / steps

@@ -6,14 +6,14 @@ batch axis, so serving sixteen requests as one ``(16, T, N, C)`` forward is
 several times cheaper than sixteen ``(1, T, N, C)`` forwards
 (``benchmarks/bench_serve.py`` gates the ratio).  The :class:`MicroBatcher`
 therefore owns *every* model forward in the serving path — lint rule R008
-forbids forwards anywhere else under ``repro.serve`` — and coalesces
-requests two ways:
-
-* :meth:`submit` enqueues a request and returns a handle; a worker thread
-  drains the queue into batches of up to ``max_batch``, waiting at most
-  ``max_wait_s`` for stragglers after the first request arrives.
-* :meth:`serve` runs a known list of requests synchronously in
-  ``max_batch``-sized chunks (the replay/benchmark path).
+forbids forwards anywhere else under ``repro.serve``.  :meth:`submit`
+enqueues a request and returns a handle; a worker thread drains the queue
+into batches of up to ``max_batch``, waiting at most ``max_wait_s`` for
+stragglers after the first request arrives, and runs each batch through
+:meth:`run_batch`.  Every forward runs under
+:func:`repro.check.detect_anomaly`, so a NaN/Inf raises naming the
+originating op (and the engine's degradation policy can catch it) instead
+of silently propagating into responses.
 
 Batching is exact, not approximate: with 2-D weight matrices a batched
 matmul is the same per-sample GEMMs stacked, so batched outputs are
@@ -24,7 +24,6 @@ the serve benchmark.
 
 from __future__ import annotations
 
-import contextlib
 import queue
 import threading
 from dataclasses import dataclass
@@ -81,11 +80,7 @@ class MicroBatcher:
 
     ``resolve`` is a callable returning ``(version, model, bundle)`` —
     normally :meth:`~repro.serve.ModelRegistry.resolve` — re-invoked at the
-    start of every batch so hot-swaps take effect between batches.  With
-    ``anomaly_check`` the forward runs under
-    :func:`repro.check.detect_anomaly`, so a NaN/Inf raises immediately
-    naming the originating op (and the engine's degradation policy can
-    catch it) instead of silently propagating into responses.
+    start of every batch so hot-swaps take effect between batches.
     """
 
     def __init__(
@@ -93,14 +88,12 @@ class MicroBatcher:
         resolve,
         max_batch: int = 16,
         max_wait_s: float = 0.002,
-        anomaly_check: bool = False,
     ) -> None:
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
         self._resolve = resolve
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
-        self.anomaly_check = anomaly_check
         self._queue: queue.Queue = queue.Queue()
         self._worker: threading.Thread | None = None
         self._shutdown = threading.Event()
@@ -124,25 +117,13 @@ class MicroBatcher:
         x = np.concatenate([request.x for request in requests], axis=0)
         tod = np.concatenate([request.tod for request in requests], axis=0)
         dow = np.concatenate([request.dow for request in requests], axis=0)
-        guard = detect_anomaly() if self.anomaly_check else contextlib.nullcontext()
-        with model.inference(), guard:
+        with model.inference(), detect_anomaly():
             out = model(x, tod, dow)
         out_np = out.numpy()
         with self._lock:
             self.batches += 1
             self.requests_served += len(requests)
         return [out_np[i : i + 1] for i in range(len(requests))], version
-
-    # ------------------------------------------------------------------
-    # Synchronous chunked path (replay / benchmarks)
-    # ------------------------------------------------------------------
-    def serve(self, requests: list[ForecastRequest]) -> list[np.ndarray]:
-        """Serve a known request list synchronously, ``max_batch`` at a time."""
-        outputs: list[np.ndarray] = []
-        for start in range(0, len(requests), self.max_batch):
-            chunk_outputs, _ = self.run_batch(requests[start : start + self.max_batch])
-            outputs.extend(chunk_outputs)
-        return outputs
 
     # ------------------------------------------------------------------
     # Asynchronous coalescing path

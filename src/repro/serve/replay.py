@@ -14,9 +14,30 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
+from ..obs.telemetry import ServingTally
 
 __all__ = ["replay_split"]
+
+
+def warm_tail(engine, values, tod, dow, steps: int):
+    """Warm ``engine``'s window for a drive over the last ``steps`` rows.
+
+    The ``history`` rows before the tail go through
+    ``engine.store.warm_from``; returns the live tail ``(values, tod,
+    dow)``.  Every replay-shaped drive (:func:`replay_split`, the load
+    generator, the scenario harness) starts here.
+    """
+    history = engine.store.history
+    total = values.shape[0]
+    if total < history + steps:
+        raise ValueError(
+            f"series has {total} steps; need at least history+steps = {history + steps}"
+        )
+    start = total - steps
+    engine.store.warm_from(
+        values[start - history : start], tod[start - history : start], dow[start - history : start]
+    )
+    return values[start:], tod[start:], dow[start:]
 
 
 def replay_split(
@@ -43,34 +64,17 @@ def replay_split(
     if steps <= 0 or requests_per_step <= 0:
         raise ValueError("steps and requests_per_step must be positive")
     series = data.dataset.series
-    values = series.values
-    tod = series.time_of_day
-    dow = series.day_of_week
-    history = engine.store.history
-    total = values.shape[0]
-    if total < history + steps:
-        raise ValueError(
-            f"series has {total} steps; need at least history+steps = {history + steps}"
-        )
-    start = total - steps
-    engine.store.warm_from(
-        values[start - history : start], tod[start - history : start], dow[start - history : start]
+    values, tod, dow = warm_tail(
+        engine, series.values, series.time_of_day, series.day_of_week, steps
     )
-
-    sources: dict[str, int] = {"model": 0, "cache": 0, "fallback": 0}
-    fallback_reasons: dict[str, int] = {}
-    latencies: list[float] = []
+    tally = ServingTally()
 
     def record(result) -> None:
-        sources[result.source] += 1
-        if result.reason is not None:
-            fallback_reasons[result.reason] = fallback_reasons.get(result.reason, 0) + 1
-        latencies.append(result.latency_s)
+        tally.add(result.source, result.reason, result.latency_s)
 
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         for step in range(steps):
-            row = start + step
-            engine.observe(values[row], int(tod[row]), int(dow[row]))
+            engine.observe(values[step], int(tod[step]), int(dow[step]))
             record(engine.forecast(horizon))
             burst = [
                 pool.submit(engine.forecast, horizon)
@@ -79,11 +83,12 @@ def replay_split(
             for future in burst:
                 record(future.result())
 
+    summary = tally.summary()
     return {
         "steps": steps,
         "requests": steps * requests_per_step,
-        "sources": sources,
-        "fallback_reasons": fallback_reasons,
-        "mean_latency_ms": float(np.mean(latencies) * 1000.0) if latencies else 0.0,
+        "sources": summary["sources"],
+        "fallback_reasons": summary["fallback_reasons"],
+        "mean_latency_ms": summary["latency_ms"]["mean"],
         "telemetry": engine.telemetry_report(),
     }

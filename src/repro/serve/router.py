@@ -45,7 +45,7 @@ import threading
 
 import numpy as np
 
-from ..obs.telemetry import latency_summary_ms, serving_record
+from ..obs.telemetry import ServingTally, serving_record
 from ..utils.timer import now
 from .degrade import fallback_forecast
 from .engine import ForecastResult, ServeConfig
@@ -151,10 +151,7 @@ class ShardedServingEngine:
         self.observed = 0
         self._signature = 0
         self._last_time: tuple[int, int] | None = None
-        self._latencies: list[float] = []
-        self._sources: dict[str, int] = {}
-        self._fallback_reasons: dict[str, int] = {}
-        self._shed = 0
+        self.tally = ServingTally()
         self._partial_fallbacks = 0
         self._shard_faults: list[dict[str, int]] = [
             {} for _ in range(self.partition.num_shards)
@@ -336,7 +333,6 @@ class ShardedServingEngine:
             )
             if over_limit and policy.shed_on_overload:
                 shed_now = True
-                self._shed += 1
                 last_tod, last_dow = self._last_time
                 profile = self._bundles[self.active_version].fallback_profile
                 version = self.active_version
@@ -402,15 +398,8 @@ class ShardedServingEngine:
         return self._finish(values, source, version, reason, start)
 
     def _finish(self, values, source, version, reason, start) -> ForecastResult:
-        with self._state_lock:
-            return self._finish_locked(values, source, version, reason, start)
-
-    def _finish_locked(self, values, source, version, reason, start) -> ForecastResult:
         latency = now() - start
-        self._latencies.append(latency)
-        self._sources[source] = self._sources.get(source, 0) + 1
-        if reason is not None:
-            self._fallback_reasons[reason] = self._fallback_reasons.get(reason, 0) + 1
+        self.tally.add(source, reason, latency)
         return ForecastResult(
             values=values, source=source, version=version, reason=reason,
             latency_s=latency,
@@ -505,43 +494,31 @@ class ShardedServingEngine:
                 })
             else:
                 shards.append(outcome)
+        summary = self.tally.summary()
         with self._state_lock:
-            latencies_s = list(self._latencies)
-            sources = dict(self._sources)
-            fallback_reasons = dict(self._fallback_reasons)
-            shed = self._shed
             partial = self._partial_fallbacks
             shard_faults = [dict(counts) for counts in self._shard_faults]
             version = self.active_version
-        latency = latency_summary_ms(latencies_s)
         batches = sum(s["batches"] for s in shards)
-        requests = len(latencies_s)
         cache_hits = sum(s["cache_hits"] for s in shards)
         cache_misses = sum(s["cache_misses"] for s in shards)
         lookups = cache_hits + cache_misses
         report = serving_record(
-            requests=requests,
+            summary,
             batches=batches,
             mean_batch_size=(
                 sum(s["batches"] * s["mean_batch_size"] for s in shards) / batches
                 if batches else 0.0
             ),
-            latency_ms_p50=latency["p50"],
-            latency_ms_p95=latency["p95"],
-            latency_ms_p99=latency["p99"],
             queue_depth_max=max((s["queue_depth_max"] for s in shards), default=0),
             cache_hits=cache_hits,
             cache_misses=cache_misses,
             cache_hit_rate=cache_hits / lookups if lookups else 0.0,
-            fallbacks=sum(fallback_reasons.values()),
-            fallback_reasons=fallback_reasons,
-            served_by_model=sources.get("model", 0),
-            served_by_cache=sources.get("cache", 0),
             active_version=version,
         )
         report["num_shards"] = self.partition.num_shards
         report["transport"] = self.transport_kind
-        report["shed"] = shed
+        report["shed"] = summary["fallback_reasons"].get("shed", 0)
         report["shards"] = shards
         report["shard_faults"] = shard_faults
         report["partial_fallbacks"] = partial

@@ -44,8 +44,9 @@ from pathlib import Path
 import numpy as np
 
 from ..data.events import AppliedScenario, Scenario, apply_events
-from ..obs.telemetry import latency_summary_ms
+from ..obs.telemetry import ServingTally
 from ..training.metrics import compute_all
+from .replay import warm_tail
 
 __all__ = ["SCENARIO_SCHEMA", "ScenarioRunResult", "run_scenario", "save_scenario_report"]
 
@@ -85,22 +86,10 @@ def _publish(engine, bundle) -> str:
 
 def _serving_summary(records: list[tuple[int, str, str | None, float]]) -> dict:
     """Sources, fallback reasons/rate and latency over one request subset."""
-    sources: dict[str, int] = {"model": 0, "cache": 0, "fallback": 0}
-    reasons: dict[str, int] = {}
-    latencies = []
+    tally = ServingTally()
     for _tick, source, reason, latency_s in records:
-        sources[source] = sources.get(source, 0) + 1
-        if reason is not None:
-            reasons[reason] = reasons.get(reason, 0) + 1
-        latencies.append(latency_s)
-    requests = len(records)
-    return {
-        "requests": requests,
-        "sources": sources,
-        "fallback_reasons": reasons,
-        "fallback_rate": (sources.get("fallback", 0) / requests) if requests else 0.0,
-        "latency_ms": latency_summary_ms(latencies),
-    }
+        tally.add(source, reason, latency_s)
+    return tally.summary()
 
 
 def _tick_label(label: str, row_start: int, tick_start: int) -> str:
@@ -164,12 +153,7 @@ def run_scenario(
         raise ValueError("steps and requests_per_step must be positive")
     series = data.dataset.series
     adjacency = np.asarray(data.adjacency)
-    history = engine.store.history
     total = series.values.shape[0]
-    if total < history + steps:
-        raise ValueError(
-            f"series has {total} steps; need at least history+steps = {history + steps}"
-        )
     start = total - steps
     for event in scenario.events:
         if int(event.start) < 0:
@@ -192,11 +176,7 @@ def run_scenario(
 
     updates = {update.tick: update for update in applied.graph_timeline}
 
-    engine.store.warm_from(
-        values[start - history : start],
-        tod[start - history : start],
-        dow[start - history : start],
-    )
+    warm_tail(engine, values, tod, dow, steps)
 
     records: list[tuple[int, str, str | None, float]] = []
     forecasts = np.zeros((steps, horizon, num_nodes), dtype=np.float32)

@@ -46,7 +46,7 @@ import threading
 import time
 
 from ..utils.timer import now
-from .engine import DEFAULT_OP_TIMEOUTS, EngineCore, ForecastResult, ServeConfig
+from .engine import EngineCore, ServeConfig
 from .registry import ModelRegistry
 from .window_store import SlidingWindowStore
 
@@ -90,11 +90,11 @@ def _build_core(bundle, version: str, config: ServeConfig | None) -> EngineCore:
 class WorkerTransport:
     """The op surface a shard worker exposes, however it is hosted.
 
-    Synchronous calls (:meth:`observe`, :meth:`forecast`, ...) are
-    ``post`` + ``wait`` fused; the split form lets the router scatter one
-    request to every shard before gathering any reply.  At most one
-    request may be outstanding per transport — the router serialises
-    scatter/gather rounds, so transports stay single-lane by design.
+    :meth:`request` is ``post`` + ``wait`` fused; the split form lets the
+    router scatter one request to every shard before gathering any reply.
+    At most one request may be outstanding per transport — the router
+    serialises scatter/gather rounds, so transports stay single-lane by
+    design.
     """
 
     shard: int | None = None
@@ -113,34 +113,6 @@ class WorkerTransport:
     def request(self, op: str, payload: tuple = ()):
         self.post(op, payload)
         return self.wait()
-
-    # Fused conveniences -------------------------------------------------
-    def observe(
-        self, values, tod: int, dow: int, graph_version: int | None = None
-    ) -> int:
-        if graph_version is None:
-            return self.request("observe", (values, tod, dow))
-        return self.request("observe", (values, tod, dow, graph_version))
-
-    def forecast(self, horizon: int | None = None) -> ForecastResult:
-        return self.request("forecast", (horizon,))
-
-    def set_graph_version(self, graph_version: int) -> int:
-        """Tell the worker the adjacency changed (mid-stream graph rewrite)."""
-        return self.request("set_graph", (graph_version,))
-
-    def publish(self, bundle, version: str, activate: bool = True) -> str:
-        return self.request("publish", (bundle, version, activate))
-
-    def activate(self, version: str) -> None:
-        self.request("activate", (version,))
-
-    def telemetry(self) -> dict:
-        return self.request("telemetry")
-
-    def ping(self) -> bool:
-        """Round-trip liveness check: True iff the worker answers ``ping``."""
-        return self.request("ping") == "pong"
 
     def close(self) -> None:
         raise NotImplementedError
@@ -266,12 +238,10 @@ def _worker_main(conn, bundle, version: str, config: ServeConfig | None) -> None
 class ProcessTransport(WorkerTransport):
     """One shard worker in its own process, spoken to over a duplex pipe.
 
-    ``request_timeout_s=None`` (the default) takes per-op deadlines from
-    ``config.op_timeout_s``; passing a float keeps the old blanket-timeout
-    behaviour.  A timeout raises :class:`TransportError` but no longer
-    poisons the lane: the in-flight request is abandoned and its eventual
-    reply (if the worker was merely slow) is drained and discarded by seq
-    before the next ``post``.
+    Per-op deadlines come from ``config.op_timeout_s``.  A timeout raises
+    :class:`TransportError` but does not poison the lane: the in-flight
+    request is abandoned and its eventual reply (if the worker was merely
+    slow) is drained and discarded by seq before the next ``post``.
     """
 
     def __init__(
@@ -281,20 +251,16 @@ class ProcessTransport(WorkerTransport):
         config: ServeConfig | None = None,
         *,
         shard: int | None = None,
-        request_timeout_s: float | None = None,
-        context: str | None = None,
     ) -> None:
-        ctx = mp.get_context(context) if context else mp.get_context()
-        self._conn, child = ctx.Pipe(duplex=True)
+        self._conn, child = mp.Pipe(duplex=True)
         self.shard = shard
-        self.request_timeout_s = request_timeout_s
-        self._config = config
+        self._config = config or ServeConfig()
         self._lock = threading.Lock()
         self._seq = 0
         self._pending: tuple[int, str] | None = None
         self._closed = False
         self._broken = False
-        self.process = ctx.Process(
+        self.process = mp.Process(
             target=_worker_main,
             args=(child, bundle, version, config),
             name="repro-serve-shard",
@@ -306,13 +272,6 @@ class ProcessTransport(WorkerTransport):
     @property
     def alive(self) -> bool:
         return not self._closed and not self._broken and self.process.is_alive()
-
-    def _timeout_for(self, op: str) -> float:
-        if self.request_timeout_s is not None:
-            return float(self.request_timeout_s)
-        if self._config is not None:
-            return self._config.op_timeout_s(op)
-        return DEFAULT_OP_TIMEOUTS.get(op, DEFAULT_OP_TIMEOUTS["default"])
 
     def _drain_locked(self) -> None:
         """Discard stale replies left behind by timed-out requests."""
@@ -348,7 +307,7 @@ class ProcessTransport(WorkerTransport):
                 raise TransportError("no request in flight", shard=self.shard)
             seq, op = self._pending
             self._pending = None
-            timeout = self._timeout_for(op)
+            timeout = self._config.op_timeout_s(op)
             deadline = now() + timeout
             while True:
                 remaining = deadline - now()

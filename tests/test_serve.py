@@ -293,17 +293,10 @@ class TestMicroBatcher:
             single, _ = batcher.run_batch([request])
             assert single[0].tobytes() == expected.tobytes()
 
-    def test_serve_chunks_by_max_batch(self, tiny_data, bundle, registry):
-        batcher = MicroBatcher(registry.resolve, max_batch=2)
-        outputs = batcher.serve(self._requests(tiny_data, bundle, 5))
-        assert len(outputs) == 5
-        assert batcher.batches == 3  # 2 + 2 + 1
-        assert batcher.requests_served == 5
-
     def test_threaded_submits_are_coalesced(self, tiny_data, bundle, registry):
         batcher = MicroBatcher(registry.resolve, max_batch=8, max_wait_s=0.2)
         requests = self._requests(tiny_data, bundle, 6)
-        expected = batcher.serve(requests)
+        expected, _ = batcher.run_batch(requests)  # 6 < max_batch: one batch
         start_barrier = threading.Barrier(len(requests))
         results: dict[int, np.ndarray] = {}
 
@@ -323,7 +316,7 @@ class TestMicroBatcher:
         batcher.stop()
         for index, value in results.items():
             assert value.tobytes() == expected[index].tobytes()
-        # Everything after serve()'s one batch of all six.
+        # Everything after run_batch()'s one batch of all six.
         assert batcher.requests_served - len(requests) == len(requests)
         assert batcher.batches - 1 < len(requests), "no coalescing happened"
 

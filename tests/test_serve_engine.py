@@ -1,5 +1,6 @@
 """The assembled serving stack: engine flows, degradation and telemetry."""
 
+import sys
 import threading
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from repro.check.sanitizers import AnomalyError
 from repro.models import build_model
-from repro.obs import TELEMETRY_SCHEMA, MemorySink, latency_summary_ms
+from repro.obs import TELEMETRY_SCHEMA, MemorySink, ServingTally, latency_summary_ms
 from repro.serve import (
     DegradationPolicy,
     ModelRegistry,
@@ -203,12 +204,65 @@ class TestReplayAndTelemetry:
         list(np.random.default_rng(3).exponential(0.01, size=257)),
     ])
     def test_latency_summary_matches_numpy(self, latencies_s):
-        summary = latency_summary_ms(latencies_s)
+        tally = ServingTally()
+        for latency_s in latencies_s:
+            tally.add("model", None, latency_s)
         latencies_ms = np.asarray(latencies_s, dtype=np.float64) * 1000.0
-        for q in (50, 95, 99):
-            expected = float(np.percentile(latencies_ms, q)) if latencies_s else 0.0
-            assert summary[f"p{q}"] == expected
-        assert summary["mean"] == (float(latencies_ms.mean()) if latencies_s else 0.0)
+        for summary in (latency_summary_ms(latencies_s), tally.summary()["latency_ms"]):
+            for q in (50, 95, 99):
+                expected = float(np.percentile(latencies_ms, q)) if latencies_s else 0.0
+                assert summary[f"p{q}"] == expected
+            assert summary["mean"] == (float(latencies_ms.mean()) if latencies_s else 0.0)
+
+    def test_empty_tally_summarises_to_zeros(self):
+        assert ServingTally().summary() == {
+            "requests": 0,
+            "sources": {"model": 0, "cache": 0, "fallback": 0},
+            "fallback_reasons": {},
+            "fallback_rate": 0.0,
+            "latency_ms": {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0},
+        }
+
+    def test_tally_counts_sources_reasons_and_fallback_rate(self):
+        tally = ServingTally()
+        answers = [
+            ("model", None), ("cache", None), ("cache", None),
+            ("fallback", "cold_start"), ("fallback", "outage"),
+            ("fallback", "outage"), ("model", None), ("fallback", "shed"),
+        ]
+        for source, reason in answers:
+            tally.add(source, reason, 0.001)
+        summary = tally.summary()
+        assert summary["requests"] == 8
+        assert summary["sources"] == {"model": 2, "cache": 2, "fallback": 4}
+        assert summary["fallback_reasons"] == {"cold_start": 1, "outage": 2, "shed": 1}
+        assert summary["fallback_rate"] == 0.5
+
+    def test_tally_loses_no_update_under_contention(self):
+        tally = ServingTally()
+        threads_n, adds = 8, 500
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def worker(index):
+                for _ in range(adds):
+                    tally.add("fallback", f"reason{index % 2}", 0.001)
+
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        summary = tally.summary()
+        total = threads_n * adds
+        assert summary["requests"] == total
+        assert summary["sources"]["fallback"] == total
+        assert summary["fallback_reasons"] == {"reason0": total // 2, "reason1": total // 2}
 
     def test_fallbacks_counted_in_telemetry(self, bundle, tiny_data):
         with _engine(bundle) as engine:

@@ -43,11 +43,11 @@ def bundle_v2(tiny_data):
     return make_servable("STGCN", model, tiny_data, hidden=8, layers=1)
 
 
-def _plain_engine(bundle):
+def _plain_engine(bundle, config=None):
     registry = ModelRegistry()
     registry.publish(bundle)
     store = SlidingWindowStore.for_bundle(bundle)
-    return ServingEngine(registry, store, ServeConfig(max_wait_s=0.001))
+    return ServingEngine(registry, store, config or ServeConfig(max_wait_s=0.001))
 
 
 def _warm(engine, data):
@@ -218,6 +218,38 @@ class TestShardedEngine:
         assert summary["telemetry"]["num_shards"] == 2
         assert sum(summary["sources"].values()) == 6
 
+    @pytest.mark.parametrize("policy", [
+        DegradationPolicy(),
+        DegradationPolicy(outage_threshold=-1.0),  # every answer a fallback
+    ], ids=["model", "outage"])
+    def test_k1_loopback_telemetry_counts_match_plain_engine(
+        self, bundle, tiny_data, policy
+    ):
+        config = ServeConfig(max_wait_s=0.001, policy=policy)
+        with _plain_engine(bundle, config) as plain:
+            plain_summary = replay_split(plain, tiny_data, steps=3, requests_per_step=3)
+        with ShardedServingEngine(
+            bundle, num_shards=1, config=config, transport="loopback"
+        ) as sharded:
+            sharded_summary = replay_split(
+                sharded, tiny_data, steps=3, requests_per_step=3
+            )
+        assert plain_summary["sources"] == sharded_summary["sources"]
+        assert plain_summary["fallback_reasons"] == sharded_summary["fallback_reasons"]
+        sources = plain_summary["sources"]
+        for summary in (plain_summary, sharded_summary):
+            record = summary["telemetry"]
+            assert record["requests"] == 9
+            assert record["served_by_model"] == sources["model"]
+            assert record["served_by_cache"] == sources["cache"]
+            assert record["fallbacks"] == sources["fallback"]
+            assert record["fallback_reasons"] == summary["fallback_reasons"]
+        if policy.outage_threshold < 0:
+            assert sources == {"model": 0, "cache": 0, "fallback": 9}
+            assert plain_summary["fallback_reasons"] == {"outage": 9}
+        else:
+            assert sources == {"model": 3, "cache": 6, "fallback": 0}
+
     def test_publish_activate_hot_swap_lockstep(self, bundle, bundle_v2, tiny_data):
         with ShardedServingEngine(bundle, num_shards=2, transport="loopback") as engine:
             _warm(engine, tiny_data)
@@ -330,7 +362,9 @@ class TestProcessTransport:
         engine.close()  # idempotent
 
     def test_worker_death_surfaces_as_transport_error(self, bundle):
-        transport = ProcessTransport(bundle, request_timeout_s=5.0)
+        transport = ProcessTransport(
+            bundle, config=ServeConfig(op_timeouts_s={"telemetry": 5.0})
+        )
         try:
             transport.process.terminate()
             transport.process.join(timeout=5.0)
@@ -452,4 +486,4 @@ class TestLoadGenerator:
         assert result.mode == "open"
         assert result.requests > 0
         assert result.shed == result.requests
-        assert result.sources == {"fallback": result.requests}
+        assert result.sources == {"model": 0, "cache": 0, "fallback": result.requests}
