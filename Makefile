@@ -56,8 +56,9 @@ bench-smoke:
 
 # Serving regression gate: replays a request trace through the online
 # inference stack and asserts batched forwards are bit-identical to (and at
-# least 3x faster than) sequential single-request forwards; every forward,
-# batched or single, runs under the NaN/Inf anomaly guard, as in serving.
+# least 3x faster than) sequential single-request forwards, and that the
+# batcher's once-per-batch NaN/Inf check is not slower than the same
+# forwards under the per-op anomaly guard.
 serve-smoke:
 	REPRO_BENCH_PROFILE=tiny pytest benchmarks/bench_serve.py --benchmark-only -q
 

@@ -9,6 +9,12 @@ least 3x faster *and* bit-identical per request (a batched numpy matmul
 against 2-D weights is the same per-sample GEMMs stacked, so batching is
 exact, not approximate).
 
+The same sixteen batch-1 forwards are also timed under
+:func:`~repro.check.detect_anomaly`, in alternated best-of legs, against
+``run_batch``: the batcher checks each batch once and re-runs only a
+failed one under the per-op guard, so its forward must never lose to the
+guarded one (ratio ≥ 0.85, the margin for noise on a shared host).
+
 A full-stack replay through :class:`~repro.serve.ServingEngine` then
 records end-to-end latency percentiles, cache hit counters and a forced
 outage-degradation, landing in ``benchmarks/results/serve.json``.  The CLI
@@ -20,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.common import get_data, profile, profile_name, save_results
+from repro.check import detect_anomaly
 from repro.models import build_model
 from repro.serve import (
     ForecastRequest,
@@ -39,6 +46,9 @@ DATASET = "metr-la-sim"
 BATCH = 16
 TIMING_ROUNDS = 3
 REPLAY_STEPS = 12
+# The batch-level check must not lose to the per-op guard it replaces;
+# below 1.0 only by the noise margin of bench_train_step.py's gate.
+GUARD_RATIO_MIN = 0.85
 REQUESTS_PER_STEP = 4
 
 
@@ -72,24 +82,31 @@ def _bench_microbatch(registry, requests) -> dict:
         for a, b in zip(sequential_outputs, batched_outputs)
     )
 
-    def best_of(run) -> float:
-        best = float("inf")
-        for _ in range(TIMING_ROUNDS):
+    _, model, _ = registry.resolve()
+
+    def guarded(request):
+        with model.inference(), detect_anomaly():
+            return model(request.x, request.tod, request.dow)
+
+    legs = {
+        "sequential": lambda: [batcher.run_batch([request]) for request in requests],
+        "batched": lambda: batcher.run_batch(requests),
+        "guarded_sequential": lambda: [guarded(request) for request in requests],
+    }
+    best = dict.fromkeys(legs, float("inf"))
+    for _ in range(TIMING_ROUNDS):  # alternated, so drift loads every leg alike
+        for name, run in legs.items():
             begin = now()
             run()
-            best = min(best, now() - begin)
-        return best
-
-    sequential_s = best_of(
-        lambda: [batcher.run_batch([request]) for request in requests]
-    )
-    batched_s = best_of(lambda: batcher.run_batch(requests))
+            best[name] = min(best[name], now() - begin)
     return {
         "batch_size": len(requests),
         "bitwise_identical": identical,
-        "sequential_ms": sequential_s * 1000.0,
-        "batched_ms": batched_s * 1000.0,
-        "speedup": sequential_s / batched_s,
+        "sequential_ms": best["sequential"] * 1000.0,
+        "batched_ms": best["batched"] * 1000.0,
+        "speedup": best["sequential"] / best["batched"],
+        "guarded_sequential_ms": best["guarded_sequential"] * 1000.0,
+        "guard_ratio": best["guarded_sequential"] / best["sequential"],
     }
 
 
@@ -151,12 +168,18 @@ def test_serve_throughput(benchmark):
     print(f"micro-batch: {m['sequential_ms']:.2f} ms sequential vs "
           f"{m['batched_ms']:.2f} ms batched at batch {m['batch_size']} "
           f"(x{m['speedup']:.2f}, bit-identical: {m['bitwise_identical']})")
+    print(f"batch check: {m['sequential_ms']:.2f} ms vs {m['guarded_sequential_ms']:.2f} ms "
+          f"under the per-op guard (x{m['guard_ratio']:.2f})")
     print(f"engine:      p50 {t['latency_ms_p50']:.2f} / p95 {t['latency_ms_p95']:.2f} / "
           f"p99 {t['latency_ms_p99']:.2f} ms, cache hit rate {t['cache_hit_rate']:.2f}, "
           f"fallbacks {t['fallbacks']} {t['fallback_reasons']}")
 
     assert m["bitwise_identical"], "batched forward diverged from single-request forwards"
     assert m["speedup"] >= 3.0, f"micro-batching speedup x{m['speedup']:.2f} below the 3x gate"
+    assert m["guard_ratio"] >= GUARD_RATIO_MIN, (
+        f"batch-level check x{m['guard_ratio']:.2f} against the per-op guard, "
+        f"below the {GUARD_RATIO_MIN} gate"
+    )
     assert results["engine"]["outage_source"] == "fallback"
     assert results["engine"]["outage_reason"] == "outage"
     assert t["cache_hits"] > 0, "replay produced no cache hits"

@@ -10,10 +10,21 @@ forbids forwards anywhere else under ``repro.serve``.  :meth:`submit`
 enqueues a request and returns a handle; a worker thread drains the queue
 into batches of up to ``max_batch``, waiting at most ``max_wait_s`` for
 stragglers after the first request arrives, and runs each batch through
-:meth:`run_batch`.  Every forward runs under
-:func:`repro.check.detect_anomaly`, so a NaN/Inf raises naming the
-originating op (and the engine's degradation policy can catch it) instead
-of silently propagating into responses.
+:meth:`run_batch`.
+
+Every batch is checked once for NaN/Inf, so a non-finite value raises
+naming the originating op (and the engine's degradation policy can catch
+it) instead of silently propagating into responses.  The forward runs
+with numpy's floating-point errors raising; it counts as clean when the
+model's parameters (checked once per model object) and the input batch
+are finite, no op raised an overflow, invalid or divide error, and the
+output is finite.  Otherwise the same batch is re-run under
+:func:`repro.check.detect_anomaly`, whose per-op checks raise the
+:class:`~repro.check.AnomalyError` naming the op, exactly as if the guard
+had been on all along.  The check is exact because a NaN or Inf created
+from finite operands by a ufunc or a GEMM sets an FP flag in the thread
+that computes it (``docs/performance.md``, "Guarding the batch, not each
+op", also names the one case it cannot see).
 
 Batching is exact, not approximate: with 2-D weight matrices a batched
 matmul is the same per-sample GEMMs stacked, so batched outputs are
@@ -101,6 +112,7 @@ class MicroBatcher:
         self.requests_served = 0
         self.batches = 0
         self.queue_depth_max = 0
+        self._finite_memo: tuple[object, bool] | None = None
 
     # ------------------------------------------------------------------
     # The one model-forward site in the serving path
@@ -117,13 +129,38 @@ class MicroBatcher:
         x = np.concatenate([request.x for request in requests], axis=0)
         tod = np.concatenate([request.tod for request in requests], axis=0)
         dow = np.concatenate([request.dow for request in requests], axis=0)
-        with model.inference(), detect_anomaly():
-            out = model(x, tod, dow)
-        out_np = out.numpy()
+        out_np = self._checked_forward(model, x, tod, dow)
         with self._lock:
             self.batches += 1
             self.requests_served += len(requests)
         return [out_np[i : i + 1] for i in range(len(requests))], version
+
+    def _checked_forward(self, model, x, tod, dow) -> np.ndarray:
+        """One forward, checked once; the per-op guard re-runs a failed check."""
+        if self._parameters_finite(model) and np.isfinite(x).all():
+            # The FP errors that mark a NaN/Inf created inside the forward.
+            raising = np.errstate(over="raise", invalid="raise", divide="raise")
+            try:
+                with model.inference(), raising:
+                    out = model(x, tod, dow).numpy()
+            except FloatingPointError:
+                pass
+            else:
+                if np.isfinite(out).all():
+                    return out
+        with model.inference(), detect_anomaly():
+            return model(x, tod, dow).numpy()
+
+    def _parameters_finite(self, model) -> bool:
+        # One slot, refreshed when resolve() hands out another model: a
+        # version swap costs one scan, and the memo never grows.  The pair
+        # is replaced whole, so a concurrent caller never reads one model's
+        # answer for another.  Served models are not mutated after loading.
+        memo = self._finite_memo
+        if memo is None or memo[0] is not model:
+            finite = all(np.isfinite(p.data).all() for p in model.parameters())
+            memo = self._finite_memo = (model, finite)
+        return memo[1]
 
     # ------------------------------------------------------------------
     # Asynchronous coalescing path
