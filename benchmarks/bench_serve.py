@@ -14,6 +14,13 @@ The same sixteen batch-1 forwards are also timed under
 ``run_batch``: the batcher checks each batch once and re-runs only a
 failed one under the per-op guard, so its forward must never lose to the
 guarded one (ratio ≥ 0.85, the margin for noise on a shared host).
+A fourth alternated leg serves each request twice, as a batch-1
+``run_batch`` and then as a lone ``submit().result()`` through the
+batcher's worker thread: with nothing else queued, the median lone submit
+must cost no more than its ``run_batch`` forward plus 1 ms
+(``submit_overhead_ms``), so no straggler timer holds it.  Each pair runs
+back to back, so a burst of load on the host lands on both sides of its
+difference.
 
 A full-stack replay through :class:`~repro.serve.ServingEngine` then
 records end-to-end latency percentiles, cache hit counters and a forced
@@ -49,6 +56,8 @@ REPLAY_STEPS = 12
 # The batch-level check must not lose to the per-op guard it replaces;
 # below 1.0 only by the noise margin of bench_train_step.py's gate.
 GUARD_RATIO_MIN = 0.85
+# A lone submit pays the hand-off to the batcher's thread, not a wait.
+SUBMIT_OVERHEAD_MAX_MS = 1.0
 REQUESTS_PER_STEP = 4
 
 
@@ -88,17 +97,30 @@ def _bench_microbatch(registry, requests) -> dict:
         with model.inference(), detect_anomaly():
             return model(request.x, request.tod, request.dow)
 
+    submit_overheads = []
+
+    def lone_submit_overhead(request):
+        begin = now()
+        batcher.run_batch([request])
+        middle = now()
+        batcher.submit(request).result()
+        submit_overheads.append((now() - middle) - (middle - begin))
+
     legs = {
         "sequential": lambda: [batcher.run_batch([request]) for request in requests],
         "batched": lambda: batcher.run_batch(requests),
         "guarded_sequential": lambda: [guarded(request) for request in requests],
+        "lone_submit": lambda: [lone_submit_overhead(request) for request in requests],
     }
     best = dict.fromkeys(legs, float("inf"))
-    for _ in range(TIMING_ROUNDS):  # alternated, so drift loads every leg alike
-        for name, run in legs.items():
-            begin = now()
-            run()
-            best[name] = min(best[name], now() - begin)
+    try:
+        for _ in range(TIMING_ROUNDS):  # alternated, so drift loads every leg alike
+            for name, run in legs.items():
+                begin = now()
+                run()
+                best[name] = min(best[name], now() - begin)
+    finally:
+        batcher.stop()
     return {
         "batch_size": len(requests),
         "bitwise_identical": identical,
@@ -107,6 +129,7 @@ def _bench_microbatch(registry, requests) -> dict:
         "speedup": best["sequential"] / best["batched"],
         "guarded_sequential_ms": best["guarded_sequential"] * 1000.0,
         "guard_ratio": best["guarded_sequential"] / best["sequential"],
+        "submit_overhead_ms": float(np.median(submit_overheads)) * 1000.0,
     }
 
 
@@ -170,6 +193,8 @@ def test_serve_throughput(benchmark):
           f"(x{m['speedup']:.2f}, bit-identical: {m['bitwise_identical']})")
     print(f"batch check: {m['sequential_ms']:.2f} ms vs {m['guarded_sequential_ms']:.2f} ms "
           f"under the per-op guard (x{m['guard_ratio']:.2f})")
+    print(f"lone submit: {m['submit_overhead_ms']:+.3f} ms over its batch-1 run_batch "
+          f"(median of {TIMING_ROUNDS * m['batch_size']} back-to-back pairs)")
     print(f"engine:      p50 {t['latency_ms_p50']:.2f} / p95 {t['latency_ms_p95']:.2f} / "
           f"p99 {t['latency_ms_p99']:.2f} ms, cache hit rate {t['cache_hit_rate']:.2f}, "
           f"fallbacks {t['fallbacks']} {t['fallback_reasons']}")
@@ -179,6 +204,10 @@ def test_serve_throughput(benchmark):
     assert m["guard_ratio"] >= GUARD_RATIO_MIN, (
         f"batch-level check x{m['guard_ratio']:.2f} against the per-op guard, "
         f"below the {GUARD_RATIO_MIN} gate"
+    )
+    assert m["submit_overhead_ms"] <= SUBMIT_OVERHEAD_MAX_MS, (
+        f"a lone submit costs {m['submit_overhead_ms']:.3f} ms more than its forward, "
+        f"above the {SUBMIT_OVERHEAD_MAX_MS} ms gate"
     )
     assert results["engine"]["outage_source"] == "fallback"
     assert results["engine"]["outage_reason"] == "outage"

@@ -649,7 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep the --max-inflight limit visible but let requests queue")
     p.add_argument("--max-batch", type=int, default=16)
     p.add_argument("--max-wait-ms", type=float, default=2.0,
-                   help="micro-batcher coalescing window in milliseconds")
+                   help="micro-batcher cap on waiting for the stragglers the last cycle "
+                        "predicts, in milliseconds")
     p.add_argument("--outage-threshold", type=float, default=0.5,
                    help="window outage fraction above which requests degrade")
     p.add_argument("--telemetry", default=None,
@@ -688,7 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="how shard workers are hosted when --workers > 1")
     p.add_argument("--max-batch", type=int, default=16)
     p.add_argument("--max-wait-ms", type=float, default=2.0,
-                   help="micro-batcher coalescing window in milliseconds")
+                   help="micro-batcher cap on waiting for the stragglers the last cycle "
+                        "predicts, in milliseconds")
     p.add_argument("--out", default=None,
                    help="write the repro.serve.scenario/v1 report to this JSON path")
     p.add_argument("--hidden", type=int, default=16)

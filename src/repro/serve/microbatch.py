@@ -7,10 +7,15 @@ several times cheaper than sixteen ``(1, T, N, C)`` forwards
 (``benchmarks/bench_serve.py`` gates the ratio).  The :class:`MicroBatcher`
 therefore owns *every* model forward in the serving path — lint rule R008
 forbids forwards anywhere else under ``repro.serve``.  :meth:`submit`
-enqueues a request and returns a handle; a worker thread drains the queue
-into batches of up to ``max_batch``, waiting at most ``max_wait_s`` for
-stragglers after the first request arrives, and runs each batch through
-:meth:`run_batch`.
+enqueues a request and returns a handle; a worker thread takes everything
+already queued, up to ``max_batch``, and runs each batch through
+:meth:`run_batch`.  It waits for more only while the batch holds fewer
+requests than the last cycle saw (that batch's size plus the requests that
+queued up during its forward, starting at 1), and ``max_wait_s`` is the
+cap on waiting for the stragglers the last cycle predicts, counted from
+the first pick.  So a lone client never waits, while closed-loop clients
+keep coalescing (``docs/performance.md``, "Batching without a straggler
+timer").
 
 Every batch is checked once for NaN/Inf, so a non-finite value raises
 naming the originating op (and the engine's degradation policy can catch
@@ -45,6 +50,8 @@ from ..check.sanitizers import detect_anomaly
 from ..utils.timer import now
 
 __all__ = ["ForecastRequest", "MicroBatcher"]
+
+_STOP = object()  # queued by stop(): wakes the worker so it exits
 
 
 @dataclass
@@ -167,58 +174,84 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     def submit(self, request: ForecastRequest) -> _Pending:
         """Enqueue a request for the next coalesced batch; returns a handle."""
-        if self._shutdown.is_set():
-            raise RuntimeError("micro-batcher is stopped")
-        self._ensure_worker()
         pending = _Pending()
-        self._queue.put((request, pending))
         with self._lock:
+            # Under the lock, so stop() fails every request queued before it.
+            if self._shutdown.is_set():
+                raise RuntimeError("micro-batcher is stopped")
+            self._ensure_worker_locked()
+            self._queue.put((request, pending))
             self.queue_depth_max = max(self.queue_depth_max, self._queue.qsize())
         return pending
 
-    def _ensure_worker(self) -> None:
-        with self._lock:
-            if self._worker is None or not self._worker.is_alive():
-                self._worker = threading.Thread(
-                    target=self._worker_loop, name="repro-serve-batcher", daemon=True
-                )
-                self._worker.start()
+    def _ensure_worker_locked(self) -> None:
+        if self._worker is None or not self._worker.is_alive():
+            self._worker = threading.Thread(
+                target=self._worker_loop, name="repro-serve-batcher", daemon=True
+            )
+            self._worker.start()
 
     def _worker_loop(self) -> None:
-        while not self._shutdown.is_set():
-            try:
-                first = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                continue
-            batch = [first]
+        # How many requests the last cycle saw: its batch plus what queued
+        # up during its forward.  A batch waits for stragglers only while it
+        # holds fewer, so a lone client never waits and closed-loop clients
+        # still coalesce.
+        expected = 1
+        item = None
+        while item is not _STOP:
+            item = self._queue.get()
             deadline = now() + self.max_wait_s
-            while len(batch) < self.max_batch:
-                remaining = deadline - now()
-                if remaining <= 0:
+            batch = []
+            while item is not _STOP:
+                batch.append(item)
+                if len(batch) == self.max_batch:
                     break
+                wait = max(0.0, deadline - now()) if len(batch) < expected else 0.0
                 try:
-                    batch.append(self._queue.get(timeout=remaining))
+                    item = self._queue.get(timeout=wait)  # 0: only what is queued
                 except queue.Empty:
                     break
-            self._run_pending_batch(batch)
+            if batch:
+                expected = min(self.max_batch, len(batch) + self._run_pending_batch(batch))
 
-    def _run_pending_batch(self, batch: list[tuple[ForecastRequest, _Pending]]) -> None:
+    def _run_pending_batch(self, batch: list[tuple[ForecastRequest, _Pending]]) -> int:
+        """Run and answer one batch; returns how many requests queued meanwhile.
+
+        The queue is read before any waiter is woken, so a client's next
+        request does not count as one that arrived during the forward.
+        """
         try:
             outputs, version = self.run_batch([request for request, _ in batch])
-        except BaseException as error:  # delivered to every waiter, never lost
-            for _, pending in batch:
-                pending.error = error
-                pending.event.set()
-            return
+            error = None
+        except BaseException as failure:  # delivered to every waiter, never lost
+            outputs, version, error = [None] * len(batch), None, failure
+        queued = self._queue.qsize()
         for (_, pending), output in zip(batch, outputs):
-            pending.value = output
-            pending.version = version
+            pending.value, pending.version, pending.error = output, version, error
             pending.event.set()
+        return queued
 
     def stop(self) -> None:
-        """Stop the worker thread; pending submits fail fast afterwards."""
-        self._shutdown.set()
-        worker = self._worker
+        """Stop the worker thread and fail every request still queued.
+
+        A batch already in its forward is answered; submits afterwards
+        raise at once.
+        """
+        with self._lock:
+            self._shutdown.set()
+            stranded = []
+            while True:
+                try:
+                    stranded.append(self._queue.get_nowait())
+                except queue.Empty:
+                    break
+            worker = self._worker
+            self._queue.put(_STOP)
+        stopped = RuntimeError("micro-batcher is stopped")
+        for item in stranded:
+            if item is not _STOP:
+                item[1].error = stopped
+                item[1].event.set()
         if worker is not None and worker.is_alive():
             worker.join(timeout=1.0)
 

@@ -137,7 +137,7 @@ class ShardedServingEngine:
         self.workers = [
             transport_cls(
                 shard_bundle(bundle, plan), version="v1", config=self.config,
-                shard=plan.shard,
+                shard=plan.shard, num_shards=self.partition.num_shards,
             )
             for plan in self.partition.plans
         ]
@@ -180,7 +180,7 @@ class ShardedServingEngine:
         first_version, first_bundle = catalog[0]
         worker = transport_cls(
             shard_bundle(first_bundle, plan), version=first_version,
-            config=self.config, shard=shard,
+            config=self.config, shard=shard, num_shards=self.partition.num_shards,
         )
         try:
             for version, bundle in catalog[1:]:

@@ -42,9 +42,11 @@ move requests, the core's micro-batcher runs forwards.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import threading
 import time
 
+from ..utils.blas import set_blas_threads
 from ..utils.timer import now
 from .engine import EngineCore, ServeConfig
 from .registry import ModelRegistry
@@ -160,7 +162,10 @@ class LoopbackTransport(WorkerTransport):
         config: ServeConfig | None = None,
         *,
         shard: int | None = None,
+        num_shards: int = 1,
     ) -> None:
+        # num_shards sizes a process worker's BLAS pool; in process, the
+        # caller's pool is left as it is.
         self.core = _build_core(bundle, version, config)
         self.shard = shard
         self._result = None
@@ -186,8 +191,14 @@ class LoopbackTransport(WorkerTransport):
         self.core.close()
 
 
-def _worker_main(conn, bundle, version: str, config: ServeConfig | None) -> None:
+def _worker_main(
+    conn, bundle, version: str, config: ServeConfig | None, num_shards: int,
+) -> None:
     """Shard worker process body: serve ops from the pipe until ``stop``.
+
+    The worker first sets its OpenBLAS pool to its share of the usable
+    cores, ``max(1, cores // num_shards)``, so K workers do not run K pools
+    of one thread per core on the same cores.
 
     Requests are ``(seq, op, payload)`` and every regular op is answered
     exactly once — ``(seq, "ok", value)`` or ``(seq, "error", exception)``
@@ -201,6 +212,7 @@ def _worker_main(conn, bundle, version: str, config: ServeConfig | None) -> None
     next op; ``("drop_next",)`` executes it but never replies) and are
     themselves never answered.
     """
+    set_blas_threads(max(1, len(os.sched_getaffinity(0)) // num_shards))
     core = _build_core(bundle, version, config)
     delay_next_s = 0.0
     drop_next = False
@@ -242,6 +254,8 @@ class ProcessTransport(WorkerTransport):
     :class:`TransportError` but does not poison the lane: the in-flight
     request is abandoned and its eventual reply (if the worker was merely
     slow) is drained and discarded by seq before the next ``post``.
+    ``num_shards`` is how many such workers share the host; the worker's
+    OpenBLAS pool gets ``max(1, cores // num_shards)`` threads.
     """
 
     def __init__(
@@ -251,6 +265,7 @@ class ProcessTransport(WorkerTransport):
         config: ServeConfig | None = None,
         *,
         shard: int | None = None,
+        num_shards: int = 1,
     ) -> None:
         self._conn, child = mp.Pipe(duplex=True)
         self.shard = shard
@@ -262,7 +277,7 @@ class ProcessTransport(WorkerTransport):
         self._broken = False
         self.process = mp.Process(
             target=_worker_main,
-            args=(child, bundle, version, config),
+            args=(child, bundle, version, config, num_shards),
             name="repro-serve-shard",
             daemon=True,
         )

@@ -47,7 +47,7 @@ class SlidingWindowStore:
         self.scaler = scaler
         self.null_value = null_value
         self._scaled = np.zeros((history, num_nodes), dtype=np.float32)
-        self._raw = np.zeros((history, num_nodes), dtype=np.float32)
+        self._nulls = np.zeros(history, dtype=np.int64)  # null-coded entries per row
         self._tod = np.zeros(history, dtype=np.int64)
         self._dow = np.zeros(history, dtype=np.int64)
         self._head = 0  # next slot to overwrite
@@ -92,12 +92,15 @@ class SlidingWindowStore:
                 f"expected {self.num_nodes} node values, got {values.shape[0]}"
             )
         scaled = self.scaler.transform(values)
+        nulls = 0 if self.null_value is None else np.count_nonzero(
+            np.isclose(values, self.null_value)
+        )
         with self._lock:
             if graph_version is not None and int(graph_version) != self._graph_version:
                 self._graph_version = int(graph_version)
                 self._version += 1
             slot = self._head
-            self._raw[slot] = values
+            self._nulls[slot] = nulls
             self._scaled[slot] = scaled
             self._tod[slot] = int(tod)
             self._dow[slot] = int(dow)
@@ -174,15 +177,12 @@ class SlidingWindowStore:
 
     def outage_fraction(self) -> float:
         """Fraction of null-coded entries among the rows ingested so far."""
+        # Counted per row at ingest: every forecast asks, once per request.
         with self._lock:
-            if self._count == 0 or self.null_value is None:
+            if self._count == 0:
                 return 0.0
-            if self._count < self.history:
-                order = np.arange(self._count)
-            else:
-                order = self._ordered_indices()
-            raw = self._raw[order]
-            return float(np.isclose(raw, self.null_value).mean())
+            # The ring fills slots 0..count-1 before it wraps.
+            return float(self._nulls[: self._count].sum() / (self._count * self.num_nodes))
 
     def last_time(self) -> tuple[int, int]:
         """``(tod, dow)`` of the most recent observation."""

@@ -5,7 +5,9 @@ micro-batch coalescing and the historical-average fallback math — each in
 isolation; ``test_serve_engine.py`` covers the assembled stack.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -190,6 +192,12 @@ class TestSlidingWindowStore:
         for step in range(4):
             store.append(half_dark, step, 0)
         assert store.outage_fraction() == pytest.approx(0.5)
+        lit = np.full(nodes, 50.0, np.float32)
+        for step in range(store.history):  # the ring wraps: the dark rows leave
+            store.append(lit, step, 0)
+        assert store.outage_fraction() == 0.0
+        store.append(half_dark, 0, 0)
+        assert store.outage_fraction() == pytest.approx(0.5 / store.history)
 
     def test_signature_is_monotone(self, tiny_data):
         store = self._store(tiny_data)
@@ -335,6 +343,152 @@ class TestMicroBatcher:
         batcher.stop()
         with pytest.raises(RuntimeError, match="stopped"):
             batcher.submit(self._requests(tiny_data, bundle, 1)[0])
+
+    @staticmethod
+    def _stub_forward(batcher, seconds, sizes):
+        """Replace the forward with a fixed-duration echo that logs batch sizes."""
+
+        def run_batch(requests):
+            sizes.append(len(requests))
+            time.sleep(seconds)
+            return [request.x for request in requests], "stub"
+
+        batcher.run_batch = run_batch
+
+    @staticmethod
+    def _closed_loop(batcher, request, rounds, start=None):
+        """Submit ``rounds`` requests one after another; returns each one's time."""
+        if start is not None:
+            start.wait()
+        times = []
+        for _ in range(rounds):
+            begin = time.perf_counter()
+            batcher.submit(request).result(timeout=10.0)
+            times.append(time.perf_counter() - begin)
+        return times
+
+    def test_lone_submits_do_not_wait_for_stragglers(self, tiny_data, bundle):
+        batcher = MicroBatcher(lambda: None, max_batch=8, max_wait_s=0.5)
+        sizes: list[int] = []
+        self._stub_forward(batcher, 0.005, sizes)
+        request = self._requests(tiny_data, bundle, 1)[0]
+        try:
+            begin = time.perf_counter()
+            self._closed_loop(batcher, request, 10)
+            elapsed = time.perf_counter() - begin
+        finally:
+            batcher.stop()
+        assert sizes == [1] * 10
+        assert elapsed < 0.5 * 10 / 4, f"10 lone submits took {elapsed:.2f}s"
+
+    def test_two_closed_loop_clients_coalesce(self, tiny_data, bundle):
+        # A batcher that never waits phase-locks two closed-loop clients into
+        # alternating batches of one; waiting for the client the last cycle
+        # saw keeps them together.
+        batcher = MicroBatcher(lambda: None, max_batch=8, max_wait_s=0.2)
+        sizes: list[int] = []
+        self._stub_forward(batcher, 0.01, sizes)
+        requests = self._requests(tiny_data, bundle, 2)
+        start = threading.Barrier(2)
+        threads = [
+            threading.Thread(target=self._closed_loop, args=(batcher, request, 20, start))
+            for request in requests
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            batcher.stop()
+        assert not any(thread.is_alive() for thread in threads)
+        assert sum(sizes) == 40
+        assert sum(sizes) / len(sizes) >= 1.5, f"batch sizes {sizes}"
+
+    def test_survivor_pays_the_wait_at_most_once(self, tiny_data, bundle):
+        batcher = MicroBatcher(lambda: None, max_batch=8, max_wait_s=0.5)
+        sizes: list[int] = []
+        self._stub_forward(batcher, 0.005, sizes)
+        leaver, survivor = self._requests(tiny_data, bundle, 2)
+        start = threading.Barrier(2)
+        left = threading.Thread(target=self._closed_loop, args=(batcher, leaver, 10, start))
+        try:
+            left.start()
+            self._closed_loop(batcher, survivor, 10, start)
+            left.join(timeout=30.0)
+            assert not left.is_alive()
+            alone = self._closed_loop(batcher, survivor, 10)
+        finally:
+            batcher.stop()
+        waited = [seconds for seconds in alone if seconds >= 0.25]
+        assert len(waited) <= 1, f"the lone client waited {len(waited)} times: {alone}"
+
+    def test_stop_fails_queued_requests_at_once(self, tiny_data, bundle):
+        batcher = MicroBatcher(lambda: None, max_batch=1, max_wait_s=0.0)
+        release = threading.Event()
+        entered = threading.Event()
+
+        def run_batch(requests):
+            entered.set()
+            release.wait(timeout=10.0)
+            return [request.x for request in requests], "stub"
+
+        batcher.run_batch = run_batch
+        first, second = self._requests(tiny_data, bundle, 2)
+        in_forward = batcher.submit(first)
+        assert entered.wait(timeout=5.0)
+        queued = batcher.submit(second)
+        stopper = threading.Thread(target=batcher.stop)
+        stopper.start()
+        try:
+            with pytest.raises(RuntimeError, match="micro-batcher is stopped"):
+                queued.result(timeout=1.0)
+        finally:
+            release.set()
+            stopper.join(timeout=10.0)
+        assert not stopper.is_alive()
+        value, version = in_forward.result(timeout=5.0)  # the batch in its forward is answered
+        assert version == "stub" and value is first.x
+
+    def test_stop_under_load_answers_every_request(self, tiny_data, bundle):
+        # More submitting threads than cores race stop(): every request that
+        # was accepted is answered, served or failed, and none is stranded.
+        batcher = MicroBatcher(lambda: None, max_batch=4, max_wait_s=0.001)
+        sizes: list[int] = []
+        self._stub_forward(batcher, 0.001, sizes)
+        request = self._requests(tiny_data, bundle, 1)[0]
+        accepted: list[list] = [[] for _ in range(6)]
+
+        def client(mine):
+            for _ in range(500):
+                try:
+                    mine.append(batcher.submit(request))
+                except RuntimeError:
+                    return
+
+        threads = [threading.Thread(target=client, args=(mine,)) for mine in accepted]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.1)
+            batcher.stop()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        outcomes = {"served": 0, "stopped": 0}
+        for pending in (pending for mine in accepted for pending in mine):
+            try:
+                pending.result(timeout=2.0)
+                outcomes["served"] += 1
+            except RuntimeError as error:
+                assert "stopped" in str(error)
+                outcomes["stopped"] += 1
+        assert outcomes["served"] == sum(sizes)
+        assert outcomes["served"] > 0 and outcomes["stopped"] > 0, outcomes
 
 
 class TestFallbackForecast:

@@ -1,5 +1,7 @@
 """Sharded serving: partition invariants, exactness, transports, shedding."""
 
+import multiprocessing as mp
+import os
 import threading
 import time
 
@@ -25,6 +27,8 @@ from repro.serve import (
     run_load,
     shard_bundle,
 )
+from repro.serve import transport as transport_module
+from repro.utils.blas import blas_threads
 from repro.utils.checkpoint import CheckpointError
 from repro.utils.seed import set_seed
 
@@ -360,6 +364,28 @@ class TestProcessTransport:
         for worker in engine.workers:
             assert not worker.process.is_alive()
         engine.close()  # idempotent
+
+    @pytest.mark.skipif(
+        blas_threads() is None or mp.get_start_method() != "fork",
+        reason="needs an OpenBLAS and forked workers (which inherit the probe op)",
+    )
+    def test_process_workers_split_the_blas_threads(self, bundle, monkeypatch):
+        apply = transport_module._apply
+
+        def apply_with_probe(core, op, payload):
+            return blas_threads() if op == "blas_threads" else apply(core, op, payload)
+
+        monkeypatch.setattr(transport_module, "_apply", apply_with_probe)
+        cores = len(os.sched_getaffinity(0))
+        engine = ShardedServingEngine(bundle, num_shards=2, transport="process")
+        lone = ProcessTransport(bundle)  # K=1: one worker gets every core
+        try:
+            budgets = [worker.request("blas_threads") for worker in engine.workers]
+            assert budgets == [max(1, cores // 2)] * 2
+            assert lone.request("blas_threads") == cores
+        finally:
+            engine.close()
+            lone.close()
 
     def test_worker_death_surfaces_as_transport_error(self, bundle):
         transport = ProcessTransport(
