@@ -17,14 +17,21 @@ Measures the three claims ``docs/scaling.md`` makes for the sharded stack
    arrival stream at 2x the measured K=2 capacity is served twice — with
    admission control shedding (``max_inflight`` set) and without — and the
    shedding arm must come out with the lower p99.
+4. **Repeat reads stop at the router.**  On a K=2 loopback engine, the
+   read after a miss is answered from the router's prediction cache and
+   posts no ``forecast`` op to any worker (posts are counted by wrapping
+   each transport's ``post``).
 
-Results land in ``benchmarks/results/serve_scale.json``.  The tiny profile
+Results land in ``benchmarks/results/serve_scale.json``, with the BLAS
+thread count and ``OPENBLAS_NUM_THREADS`` the run saw.  The tiny profile
 is the ``make serve-scale-smoke`` CI arm: a small loopback run that
-asserts the identity and that scaling is alive, without gating on exact
-ratios the CI box cannot reproduce.
+asserts the identity, the router cache and that scaling is alive,
+without gating on exact ratios the CI box cannot reproduce.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -43,6 +50,7 @@ from repro.serve import (
     run_load,
 )
 from repro.serve.shard import partition_cut_edges
+from repro.utils.blas import blas_threads
 from repro.utils.seed import set_seed
 
 # The flow presets carry the sparse binary road connectivity (mean degree
@@ -102,14 +110,19 @@ def _bench_throughput(bundle, data, cfg) -> dict:
     return throughput
 
 
-def _bench_identity(bundle, data) -> bool:
-    """K=1 sharded loopback vs the plain engine: bitwise-equal forecasts."""
+def _warm_rows(bundle, data) -> tuple:
+    """The first ``history`` rows of the series: ``store.warm_from`` arguments."""
     series = data.dataset.series
     history = bundle.spec.history
-    warm = (
+    return (
         series.values[:history], series.time_of_day[:history],
         series.day_of_week[:history],
     )
+
+
+def _bench_identity(bundle, data) -> bool:
+    """K=1 sharded loopback vs the plain engine: bitwise-equal forecasts."""
+    warm = _warm_rows(bundle, data)
     registry = ModelRegistry()
     registry.publish(bundle)
     store = SlidingWindowStore.for_bundle(bundle)
@@ -125,6 +138,31 @@ def _bench_identity(bundle, data) -> bool:
         result.source == reference.source == "model"
         and result.values.tobytes() == reference.values.tobytes()
     )
+
+
+def _bench_router_cache(bundle, data) -> dict:
+    """K=2 loopback: ``forecast`` posts to the workers for a miss and a repeat."""
+    with ShardedServingEngine(
+        bundle, num_shards=2, config=_config(), transport="loopback"
+    ) as engine:
+        engine.store.warm_from(*_warm_rows(bundle, data))
+        posts = []
+        for worker in engine.workers:
+            def counted(op, payload=(), post=worker.post):
+                posts.append(op)
+                post(op, payload)
+
+            worker.post = counted
+        miss = engine.forecast()
+        miss_posts = posts.count("forecast")
+        repeat = engine.forecast()
+        repeat_posts = posts.count("forecast") - miss_posts
+    return {
+        "miss_source": miss.source,
+        "miss_forecast_posts": miss_posts,
+        "repeat_source": repeat.source,
+        "repeat_forecast_posts": repeat_posts,
+    }
 
 
 def _bench_overload(bundle, data, cfg, capacity_rps: float) -> dict:
@@ -191,6 +229,7 @@ def test_serve_scale(benchmark):
             "throughput": throughput,
             "speedups": speedups,
             "k1_bitwise_identical": _bench_identity(bundle, data),
+            "router_cache": _bench_router_cache(bundle, data),
             "overload": _bench_overload(
                 bundle, data, cfg, throughput["2"]["requests_per_s"]
             ),
@@ -208,6 +247,10 @@ def test_serve_scale(benchmark):
               f"p50 {row['latency_ms_p50']:.2f} ms{note}")
     print(f"K=1 sharded bit-identical to plain engine: "
           f"{results['k1_bitwise_identical']}")
+    c = results["router_cache"]
+    print(f"K=2 router cache: miss {c['miss_source']} with "
+          f"{c['miss_forecast_posts']} forecast posts, repeat "
+          f"{c['repeat_source']} with {c['repeat_forecast_posts']}")
     o = results["overload"]
     print(f"overload at {o['offered_rps']:.1f} rps "
           f"(2x the {o['capacity_rps']:.1f} rps K=2 capacity): "
@@ -218,6 +261,10 @@ def test_serve_scale(benchmark):
     assert results["k1_bitwise_identical"], (
         "K=1 sharded serving diverged from the plain engine"
     )
+    assert c == {
+        "miss_source": "model", "miss_forecast_posts": 2,
+        "repeat_source": "cache", "repeat_forecast_posts": 0,
+    }, f"a repeat read was not answered at the router: {c}"
     speedup_k2 = results["speedups"]["2"]
     assert speedup_k2 >= cfg["speedup_k2_gate"], (
         f"K=2 speedup x{speedup_k2:.2f} below the x{cfg['speedup_k2_gate']} gate"
@@ -239,6 +286,10 @@ def test_serve_scale(benchmark):
         "profile": profile,
         "num_nodes": cfg["num_nodes"],
         "transport": cfg["transport"],
+        "environment": {
+            "blas_threads": blas_threads(),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        },
         "partition": {
             "num_shards": 2,
             "owned_sizes": [p.num_owned for p in partition.plans],

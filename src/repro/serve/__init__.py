@@ -14,15 +14,18 @@ bottom to top:
   forward under the tensor engine's inference mode; the only place in this
   package allowed to invoke a model (lint rules R008/R009).
 * :class:`PredictionCache` — LRU over (version, window signature, horizon);
-  a hot-swap or a new observation makes stale entries unreachable.
+  a hot-swap or a new observation makes stale entries unreachable.  One
+  per deployment, held by its front door.
 * :class:`EngineCore` — the transport-free compute core: the
-  cold-start/outage/anomaly/error degradation ladder over store, cache and
-  batcher (:class:`DegradationPolicy`).
-* :class:`ServingEngine` — the single-process front door: a core plus
-  telemetry emission through :func:`repro.obs.serving_record`; the K=1
-  special case of the sharded stack.
-* :class:`ShardedServingEngine` — the scaled front door: the graph split
-  into K spatial shards (:func:`partition_graph`), one worker per shard
+  cold-start/outage/anomaly/error degradation ladder over store and
+  batcher (:class:`DegradationPolicy`), with no cache of its own.
+* :class:`ServingEngine` — the single-process front door: a core plus the
+  prediction cache and telemetry emission through
+  :func:`repro.obs.serving_record`; the K=1 special case of the sharded
+  stack.
+* :class:`ShardedServingEngine` — the scaled front door: the prediction
+  cache, answering repeat reads with no round trip to any worker; the
+  graph split into K spatial shards (:func:`partition_graph`), one worker per shard
   behind a transport (:class:`LoopbackTransport` in-process,
   :class:`ProcessTransport` one process each), halo exchange at ingest,
   admission control with load shedding under overload, and per-shard

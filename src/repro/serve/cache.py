@@ -4,9 +4,15 @@ Traffic forecasts are a natural cache target: many consumers ask for the
 same node-set's forecast between two observation ticks, and the model input
 only changes when a new observation arrives.  The key therefore pins all
 three things a prediction depends on — which model served it, which window
-contents it saw (the store's monotone signature) and the requested horizon —
-so a stale entry can never be returned as fresh: a hot-swap changes the
-version component, a new observation changes the signature component.
+contents it saw (the front door's monotone signature) and the requested
+horizon — so a stale entry can never be returned as fresh: a hot-swap
+changes the version component, a new observation changes the signature
+component.
+
+A deployment holds one cache, at its front door: the plain
+:class:`~repro.serve.ServingEngine`, or the sharded router
+(:class:`~repro.serve.ShardedServingEngine`), which answers a repeat read
+without a round trip to any shard worker.  Worker cores hold none.
 """
 
 from __future__ import annotations
@@ -38,14 +44,23 @@ class PredictionCache:
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: tuple) -> np.ndarray | None:
+    def get(self, key: tuple, *, recheck: bool = False) -> np.ndarray | None:
+        """A copy of the entry for ``key``, or ``None``; counts one lookup.
+
+        ``recheck=True`` asks again for a key this caller has just missed
+        (the router, once it holds its RPC lock): a hit then turns that
+        miss into a hit and a miss counts nothing, so a read counts once.
+        """
         with self._lock:
             value = self._entries.get(key)
             if value is None:
-                self.misses += 1
+                if not recheck:
+                    self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
+            if recheck:
+                self.misses -= 1
             return value.copy()
 
     def put(self, key: tuple, value: np.ndarray) -> None:
@@ -78,6 +93,15 @@ class PredictionCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def record_fields(self) -> dict:
+        """The ``cache_*`` fields of a :func:`repro.obs.serving_record`."""
+        stats = self.stats()
+        return {
+            "cache_hits": stats["hits"],
+            "cache_misses": stats["misses"],
+            "cache_hit_rate": stats["hit_rate"],
+        }
 
     def stats(self) -> dict:
         """``{"hits", "misses", "hit_rate", "size", "capacity"}``."""

@@ -3,22 +3,25 @@
 Since the sharding refactor this module is split along the engine/transport
 seam (see docs/scaling.md):
 
-* :class:`EngineCore` is the **pure compute core** — the full serving
-  decision ladder over a registry, a window store, a prediction cache and a
-  micro-batcher, with no opinion about where requests come from.  Shard
-  workers run one core each, behind whatever transport
-  (:mod:`repro.serve.transport`) carries their requests.
+* :class:`EngineCore` is the **pure compute core** — the serving decision
+  ladder over a registry, a window store and a micro-batcher, with no
+  opinion about where requests come from.  Shard workers run one core
+  each, behind whatever transport (:mod:`repro.serve.transport`) carries
+  their requests.  A core keeps no prediction cache: the front door in
+  front of it answers repeat reads.
 * :class:`ServingEngine` is the single-process front door — a core plus
-  telemetry emission.  It is the K=1 special case of the sharded stack and
-  byte-for-byte the engine previous releases shipped.
+  the deployment's one :class:`~repro.serve.PredictionCache` and telemetry
+  emission.  It is the K=1 special case of the sharded stack, whose front
+  door (:class:`~repro.serve.ShardedServingEngine`) owns the cache there.
 
 One ``forecast`` call walks the full serving decision ladder:
 
 1. **cold start** — window not yet full → historical-average fallback;
 2. **outage** — too many null-coded sensors in the window
    (``DegradationPolicy.outage_threshold``) → fallback;
-3. **cache** — a prediction for exactly this (servable version, window
-   signature, horizon) already exists → serve it, no forward;
+3. **cache** (front door only) — a prediction for exactly this (servable
+   version, window signature, horizon) already exists → serve it, no
+   forward;
 4. **model** — submit to the :class:`~repro.serve.MicroBatcher`, which
    coalesces concurrent requests into one batched forward under the tensor
    engine's inference mode;
@@ -80,7 +83,7 @@ class ServeConfig:
     max_batch: int = 16
     max_wait_s: float = 0.002
     request_timeout_s: float = 30.0
-    cache_capacity: int = 256
+    cache_capacity: int = 256  # the front door's PredictionCache
     policy: DegradationPolicy = field(default_factory=DegradationPolicy)
     op_timeouts_s: dict = field(default_factory=dict)
     supervision: SupervisionPolicy | None = None
@@ -117,7 +120,9 @@ class EngineCore:
     pure request-in/result-out compute — the in-process
     :class:`ServingEngine`, the loopback transport and the multiprocess
     shard workers all run the same core, which is what keeps K=1 sharded
-    serving bit-identical to the single-process engine.
+    serving bit-identical to the single-process engine.  The core has no
+    prediction cache; :meth:`_cached` and :meth:`_remember` are where a
+    front door plugs its own in.
     """
 
     def __init__(
@@ -129,7 +134,6 @@ class EngineCore:
         self.registry = registry
         self.store = store
         self.config = config or ServeConfig()
-        self.cache = PredictionCache(capacity=self.config.cache_capacity)
         self.batcher = MicroBatcher(
             registry.resolve,
             max_batch=self.config.max_batch,
@@ -147,28 +151,24 @@ class EngineCore:
         dow: int,
         graph_version: int | None = None,
     ) -> int:
-        """Ingest one observation row and invalidate now-stale predictions.
+        """Ingest one observation row; returns the window's new signature.
 
         ``graph_version`` optionally tags the tick with the adjacency
         version it was observed under (see
-        :meth:`SlidingWindowStore.append`); a changed tag invalidates
-        cached predictions computed against the previous graph.
+        :meth:`SlidingWindowStore.append`); a changed tag bumps the
+        signature once more, so predictions keyed to the previous graph
+        can no longer be looked up.
         """
-        signature = self.store.append(values, tod, dow, graph_version=graph_version)
-        self.cache.invalidate_stale(signature)
-        return signature
+        return self.store.append(values, tod, dow, graph_version=graph_version)
 
     def set_graph_version(self, graph_version: int) -> int:
         """Absorb a mid-stream graph rewrite with no new observation.
 
-        Bumps the window signature through the store's adjacency tag and
-        drops cache entries keyed to the old signature, so a road closure
-        landing between two observations can never be answered from a
-        stale-graph cache hit.
+        Bumps the window signature through the store's adjacency tag, so a
+        road closure landing between two observations can never be
+        answered from a stale-graph cache entry.
         """
-        signature = self.store.set_graph_version(graph_version)
-        self.cache.invalidate_stale(signature)
-        return signature
+        return self.store.set_graph_version(graph_version)
 
     # ------------------------------------------------------------------
     # Serving
@@ -193,7 +193,7 @@ class EngineCore:
 
         signature = self.store.signature()
         key = (self.registry.active_version, signature, horizon)
-        cached = self.cache.get(key)
+        cached = self._cached(key)
         if cached is not None:
             return self._finish(cached, "cache", key[0], None, start)
 
@@ -214,8 +214,15 @@ class EngineCore:
             if policy.fallback_on_nan:
                 return self._fallback(bundle, horizon, "anomaly", start)
             raise AnomalyError("servable produced non-finite forecast values")
-        self.cache.put((version, signature, horizon), prediction)
+        self._remember((version, signature, horizon), prediction)
         return self._finish(prediction, "model", version, None, start)
+
+    def _cached(self, key: tuple) -> np.ndarray | None:
+        """The front door's cached answer for ``key``; a core has none."""
+        return None
+
+    def _remember(self, key: tuple, prediction: np.ndarray) -> None:
+        """Keep a model answer in the front door's cache; a core keeps none."""
 
     def _fallback(self, bundle, horizon: int, reason: str, start: float) -> ForecastResult:
         last_tod, last_dow = self.store.last_time()
@@ -240,17 +247,18 @@ class EngineCore:
     def telemetry_report(self) -> dict:
         """The serving summary record (see :func:`repro.obs.serving_record`)."""
         batcher = self.batcher.stats()
-        cache = self.cache.stats()
         return serving_record(
             self.tally.summary(),
             batches=batcher["batches"],
             mean_batch_size=batcher["mean_batch_size"],
             queue_depth_max=batcher["queue_depth_max"],
-            cache_hits=cache["hits"],
-            cache_misses=cache["misses"],
-            cache_hit_rate=cache["hit_rate"],
+            **self._cache_counts(),
             active_version=self.registry.active_version,
         )
+
+    def _cache_counts(self) -> dict:
+        """The ``cache_*`` fields of :meth:`telemetry_report`; a core has no cache."""
+        return {"cache_hits": 0, "cache_misses": 0, "cache_hit_rate": 0.0}
 
     def close(self) -> None:
         """Stop the micro-batcher's worker thread."""
@@ -266,9 +274,12 @@ class EngineCore:
 class ServingEngine(EngineCore):
     """Online forecasts over a live observation stream (single process).
 
-    An :class:`EngineCore` plus telemetry emission — the K=1 special case
-    of the sharded serving stack.  ``sink`` (optional) receives the
-    telemetry summary from :meth:`emit_telemetry`.
+    An :class:`EngineCore` plus the front door's :class:`PredictionCache`
+    (sized by ``config.cache_capacity``) and telemetry emission — the K=1
+    special case of the sharded serving stack.  Every new observation or
+    graph rewrite drops the entries keyed to the old window signature.
+    ``sink`` (optional) receives the telemetry summary from
+    :meth:`emit_telemetry`.
     """
 
     def __init__(
@@ -279,7 +290,35 @@ class ServingEngine(EngineCore):
         sink=None,
     ) -> None:
         super().__init__(registry, store, config)
+        self.cache = PredictionCache(capacity=self.config.cache_capacity)
         self.sink = sink
+
+    def observe(
+        self,
+        values: np.ndarray,
+        tod: int,
+        dow: int,
+        graph_version: int | None = None,
+    ) -> int:
+        """Ingest one observation row and drop now-stale predictions."""
+        signature = super().observe(values, tod, dow, graph_version)
+        self.cache.invalidate_stale(signature)
+        return signature
+
+    def set_graph_version(self, graph_version: int) -> int:
+        """Absorb a mid-stream graph rewrite and drop now-stale predictions."""
+        signature = super().set_graph_version(graph_version)
+        self.cache.invalidate_stale(signature)
+        return signature
+
+    def _cached(self, key: tuple) -> np.ndarray | None:
+        return self.cache.get(key)
+
+    def _remember(self, key: tuple, prediction: np.ndarray) -> None:
+        self.cache.put(key, prediction)
+
+    def _cache_counts(self) -> dict:
+        return self.cache.record_fields()
 
     def emit_telemetry(self) -> dict:
         """Build the summary record and emit it to the sink (if any)."""

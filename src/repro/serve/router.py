@@ -10,6 +10,15 @@ drive either engine unchanged.
 
 Responsibilities, top to bottom:
 
+* **Prediction cache** — the deployment's one
+  :class:`~repro.serve.PredictionCache`, keyed on (active version, router
+  signature, horizon).  A repeat read is answered before admission
+  control, without the RPC lock and without any transport call; a miss
+  looks again once it holds the lock, so concurrent misses of one key run
+  one scatter.  ``observe`` and ``set_graph_version`` bump the signature
+  and drop stale entries inside the same RPC round as their scatter, and
+  only a stitched answer with no failed shard and no fallback part is
+  stored.  Shard workers keep no cache of their own.
 * **Admission control** — ``DegradationPolicy.max_inflight`` bounds the
   requests inside the router; overload arrivals are shed straight to the
   historical-average profile (reason ``"shed"``) instead of queueing into a
@@ -47,6 +56,7 @@ import numpy as np
 
 from ..obs.telemetry import ServingTally, serving_record
 from ..utils.timer import now
+from .cache import PredictionCache
 from .degrade import fallback_forecast
 from .engine import ForecastResult, ServeConfig
 from .registry import ServableBundle
@@ -149,7 +159,10 @@ class ShardedServingEngine:
         self._state_lock = threading.Lock()
         self._inflight = 0
         self.observed = 0
+        # Bumped, with the cache's stale entries dropped, only inside the
+        # _rpc_lock round whose scatter changed the shards' windows.
         self._signature = 0
+        self.cache = PredictionCache(capacity=self.config.cache_capacity)
         self._last_time: tuple[int, int] | None = None
         self.tally = ServingTally()
         self._partial_fallbacks = 0
@@ -275,35 +288,46 @@ class ShardedServingEngine:
             # never interleave between a scatter and its journal entry.
             self.journal.record(slices, tod, dow)
             outcomes = self._broadcast_locked("observe", payloads)
+            # Router-side stream state advances even when a shard missed
+            # the row — the journal holds it, and re-hydration replays it.
+            signature = self._advance_locked((int(tod), int(dow)))
         _outcomes, failures = self._settle("observe", outcomes)
         if failures and not self.config.policy.fallback_on_error:
             raise failures[0][1]
-        # Router-side stream state advances even when a shard missed the
-        # row — the journal holds it, and re-hydration replays it.
-        with self._state_lock:
-            self.observed += 1
-            self._signature += 1
-            self._last_time = (int(tod), int(dow))
-            return self._signature
+        return signature
 
     def set_graph_version(self, graph_version: int) -> int:
         """Broadcast a mid-stream graph rewrite to every shard.
 
-        The sharded counterpart of :meth:`EngineCore.set_graph_version`: a
-        road closure between two observations must invalidate every
-        shard's prediction cache even though no new row arrived.  Shards
-        that cannot be reached degrade as usual (their caches are rebuilt
-        from scratch by the supervisor anyway).
+        The sharded counterpart of :meth:`ServingEngine.set_graph_version`:
+        a road closure between two observations must invalidate the
+        router's cached answers even though no new row arrived.  Shards
+        that cannot be reached degrade as usual.
         """
         with self._rpc_lock:
             outcomes = self._broadcast_locked(
                 "set_graph", [(int(graph_version),)] * len(self.workers)
             )
+            signature = self._advance_locked()
         _outcomes, failures = self._settle("set_graph", outcomes)
         if failures and not self.config.policy.fallback_on_error:
             raise failures[0][1]
+        return signature
+
+    def _advance_locked(self, observed_time: tuple[int, int] | None = None) -> int:
+        """Start a new window signature and drop the cache's stale entries.
+
+        Must be called with ``_rpc_lock`` held, in the round whose scatter
+        moved the shards' windows: no read can then scatter against the
+        new windows under the old signature.  ``observed_time`` counts one
+        observed row at that ``(tod, dow)``.
+        """
         with self._state_lock:
+            if observed_time is not None:
+                self.observed += 1
+                self._last_time = observed_time
             self._signature += 1
+            self.cache.invalidate_stale(self._signature)
             return self._signature
 
     def last_time(self) -> tuple[int, int]:
@@ -313,7 +337,7 @@ class ShardedServingEngine:
             return self._last_time
 
     # ------------------------------------------------------------------
-    # Serving: admission control, fan-out, stitch
+    # Serving: cache, admission control, fan-out, stitch
     # ------------------------------------------------------------------
     def forecast(self, horizon: int | None = None) -> ForecastResult:
         start = now()
@@ -327,41 +351,74 @@ class ShardedServingEngine:
         with self._state_lock:
             if self.observed == 0:
                 raise RuntimeError("no observations ingested yet; call observe() first")
-            over_limit = (
-                policy.max_inflight is not None
-                and self._inflight >= policy.max_inflight
-            )
-            if over_limit and policy.shed_on_overload:
-                shed_now = True
-                last_tod, last_dow = self._last_time
-                profile = self._bundles[self.active_version].fallback_profile
-                version = self.active_version
-            else:
-                self._inflight += 1
+            key = (self.active_version, self._signature, horizon)
+            cached = self.cache.get(key)
+            if cached is None:
+                over_limit = (
+                    policy.max_inflight is not None
+                    and self._inflight >= policy.max_inflight
+                )
+                if over_limit and policy.shed_on_overload:
+                    shed_now = True
+                    last_tod, last_dow = self._last_time
+                    profile = self._bundles[self.active_version].fallback_profile
+                else:
+                    self._inflight += 1
+        if cached is not None:
+            return self._finish(cached, "cache", key[0], None, start)
         if shed_now:
             values = fallback_forecast(
                 profile, last_tod, last_dow, horizon, spec.steps_per_day
             )
-            return self._finish(values, "fallback", version, "shed", start)
+            return self._finish(values, "fallback", key[0], "shed", start)
         try:
             with self._rpc_lock:
-                outcomes = self._broadcast_locked(
-                    "forecast", [(horizon,)] * len(self.workers)
-                )
+                # The key of this round: observe and set_graph_version
+                # move the signature only while holding _rpc_lock.
+                with self._state_lock:
+                    key = (self.active_version, self._signature, horizon)
+                cached = self.cache.get(key, recheck=True)
+                if cached is None:
+                    outcomes = self._broadcast_locked(
+                        "forecast", [(horizon,)] * len(self.workers)
+                    )
+                    clean = self._remember_locked(key, outcomes)
+            if cached is not None:
+                return self._finish(cached, "cache", key[0], None, start)
             outcomes, failures = self._settle("forecast", outcomes)
             if failures and not policy.fallback_on_error:
                 raise failures[0][1]
         finally:
             with self._state_lock:
                 self._inflight -= 1
+        if clean is not None:
+            return self._finish(clean, "model", key[0], None, start)
         return self._stitch(outcomes, failures, horizon, start)
+
+    def _remember_locked(self, key: tuple, outcomes: list) -> np.ndarray | None:
+        """Stitch and cache an all-model answer under its round's key.
+
+        Must be called with ``_rpc_lock`` held, so a miss waiting on the
+        lock finds the entry when it looks again.  Only an answer that
+        every shard computed with its model under ``key``'s version is
+        stored and returned; any failed shard or fallback part leaves the
+        outcomes to :meth:`_stitch` and returns ``None``.
+        """
+        if not all(
+            isinstance(out, ForecastResult) and out.source == "model" and out.version == key[0]
+            for out in outcomes
+        ):
+            return None
+        values = self.partition.gather([out.values for out in outcomes])
+        self.cache.put(key, values)
+        return values
 
     def _stitch(self, outcomes, failures, horizon: int, start: float) -> ForecastResult:
         """Assemble the full-graph forecast from per-shard outcomes.
 
-        Healthy shards contribute their model/cache/fallback answers;
-        failed shards contribute historical-average values for their owned
-        nodes only, sliced from the active version's full-graph profile.
+        Healthy shards contribute their model/fallback answers; failed
+        shards contribute historical-average values for their owned nodes
+        only, sliced from the active version's full-graph profile.
         """
         num_shards = len(self.workers)
         failed = {shard for shard, _error in failures}
@@ -390,10 +447,8 @@ class ShardedServingEngine:
         elif "fallback" in sources:
             source = "fallback"
             reason = next(r.reason for r in results if r.reason is not None)
-        elif "model" in sources:
-            source, reason = "model", None
         else:
-            source, reason = "cache", None
+            source, reason = "model", None
         version = results[0].version if results else self.active_version
         return self._finish(values, source, version, reason, start)
 
@@ -475,6 +530,9 @@ class ShardedServingEngine:
     def telemetry_report(self) -> dict:
         """Router-level summary plus each shard's own serving record.
 
+        The ``cache_*`` fields come from the router's own cache: shard
+        workers keep none, so they are the deployment's hit rate.
+
         Unreachable shards report a zeroed stub with ``"unreachable": True``
         instead of failing the whole report — telemetry must work *best*
         when the system is degraded.
@@ -500,9 +558,6 @@ class ShardedServingEngine:
             shard_faults = [dict(counts) for counts in self._shard_faults]
             version = self.active_version
         batches = sum(s["batches"] for s in shards)
-        cache_hits = sum(s["cache_hits"] for s in shards)
-        cache_misses = sum(s["cache_misses"] for s in shards)
-        lookups = cache_hits + cache_misses
         report = serving_record(
             summary,
             batches=batches,
@@ -511,9 +566,7 @@ class ShardedServingEngine:
                 if batches else 0.0
             ),
             queue_depth_max=max((s["queue_depth_max"] for s in shards), default=0),
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            cache_hit_rate=cache_hits / lookups if lookups else 0.0,
+            **self.cache.record_fields(),
             active_version=version,
         )
         report["num_shards"] = self.partition.num_shards

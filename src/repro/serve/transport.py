@@ -10,8 +10,9 @@ runs* behind one small request/reply surface:
   the plain :class:`~repro.serve.ServingEngine`.
 * :class:`ProcessTransport` — the core runs in its own worker process
   (one per shard), fed over a duplex pipe.  The worker owns its model,
-  window store, cache and micro-batcher outright, so K workers serve K
-  graph shards with no shared interpreter state.
+  window store and micro-batcher outright, so K workers serve K graph
+  shards with no shared interpreter state.  It keeps no prediction
+  cache: the router in front answers repeat reads.
 
 Both speak the same op set — ``observe``, ``forecast``, ``set_graph``,
 ``publish``, ``activate``, ``telemetry``, ``ping``, ``stop`` — and both

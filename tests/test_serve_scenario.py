@@ -63,9 +63,12 @@ class TestGraphVersionPlumbing:
         second = store.append(row, 1, 0, graph_version=7)
         assert second == first + 2  # tag change + the append itself
 
-    def test_stale_graph_cache_hit_not_served_across_closure(self, bundle, tiny_data):
+    @pytest.mark.parametrize("front_door", [_engine, _sharded], ids=["plain", "router"])
+    def test_stale_graph_cache_hit_not_served_across_closure(
+        self, bundle, tiny_data, front_door
+    ):
         series = tiny_data.dataset.series
-        with _engine(bundle) as engine:
+        with front_door(bundle) as engine:
             history = engine.store.history
             engine.store.warm_from(
                 series.values[:history],

@@ -2,6 +2,7 @@
 
 import multiprocessing as mp
 import os
+import sys
 import threading
 import time
 
@@ -343,6 +344,206 @@ class TestShardedEngine:
     def test_rejects_unknown_transport(self, bundle):
         with pytest.raises(ValueError):
             ShardedServingEngine(bundle, num_shards=2, transport="carrier-pigeon")
+
+
+# ---------------------------------------------------------------------------
+# The router's prediction cache
+# ---------------------------------------------------------------------------
+def _loopback(bundle, num_shards=2, **config):
+    return ShardedServingEngine(
+        bundle, num_shards=num_shards, transport="loopback",
+        config=ServeConfig(max_wait_s=0.001, **config),
+    )
+
+
+def _record_posts(engine):
+    """Wrap each worker's ``post`` to record its ops; one list per shard."""
+    posts = []
+    for worker in engine.workers:
+        seen = []
+
+        def recorded(op, payload=(), post=worker.post, seen=seen):
+            seen.append(op)
+            post(op, payload)
+
+        worker.post = recorded
+        posts.append(seen)
+    return posts
+
+
+def _observe_next(engine, data, row):
+    series = data.dataset.series
+    engine.observe(
+        series.values[row], int(series.time_of_day[row]), int(series.day_of_week[row])
+    )
+
+
+class TestRouterCache:
+    def test_version_round_trip_never_serves_the_other_version(
+        self, bundle, bundle_v2, tiny_data
+    ):
+        with _loopback(bundle) as engine:
+            _warm(engine, tiny_data)
+            v1 = engine.forecast()
+            engine.publish(bundle_v2)
+            v2 = engine.forecast()
+            assert (v1.source, v1.version) == ("model", "v1")
+            assert (v2.source, v2.version) == ("model", "v2")
+            assert not np.array_equal(v1.values, v2.values)
+            expected = {"v1": v1.values, "v2": v2.values}
+            for version in ("v1", "v2", "v1", "v2"):
+                engine.activate(version)
+                for _ in range(2):
+                    result = engine.forecast()
+                    assert result.source == "cache"
+                    assert result.version == version
+                    np.testing.assert_array_equal(result.values, expected[version])
+
+    @pytest.mark.parametrize("failure", ["closed", "dead"])
+    def test_partial_fallback_answer_is_not_cached(self, bundle, tiny_data, failure):
+        class DeadTransport:
+            def post(self, op, payload=()):
+                raise TransportError("worker is gone", shard=1, op=op)
+
+            def close(self):
+                pass
+
+        with _loopback(bundle) as engine:
+            _warm(engine, tiny_data)
+            if failure == "closed":
+                engine.workers[1].close()  # its core answers every read with a fallback
+            else:
+                engine.workers[1] = DeadTransport()
+            first, second = engine.forecast(), engine.forecast()
+            report = engine.telemetry_report()
+        assert (first.source, first.reason) == ("fallback", "error")
+        assert (second.source, second.reason) == ("fallback", "error")
+        assert report["cache_hits"] == 0 and len(engine.cache) == 0
+
+    def test_repeat_read_is_answered_while_the_rpc_lock_is_held(self, bundle, tiny_data):
+        with _loopback(bundle) as engine:
+            _warm(engine, tiny_data)
+            first = engine.forecast()
+            answers = []
+            with engine._rpc_lock:
+                reader = threading.Thread(target=lambda: answers.append(engine.forecast()))
+                reader.start()
+                reader.join(timeout=5.0)
+                answered = not reader.is_alive()
+            reader.join()
+        assert answered, "a repeat read waited for the RPC lock"
+        assert answers[0].source == "cache"
+        np.testing.assert_array_equal(answers[0].values, first.values)
+
+    def test_repeat_read_posts_nothing_to_the_workers(self, bundle, tiny_data):
+        with _loopback(bundle) as engine:
+            _warm(engine, tiny_data)
+            posts = _record_posts(engine)
+            assert engine.forecast().source == "model"
+            assert posts == [["forecast"], ["forecast"]]
+            assert engine.forecast().source == "cache"
+            assert posts == [["forecast"], ["forecast"]]
+
+    def test_concurrent_misses_of_one_key_run_one_scatter(self, bundle, tiny_data):
+        with _loopback(bundle) as engine:
+            _warm(engine, tiny_data)
+            posts = _record_posts(engine)
+            put = engine.cache.put
+
+            def slow_put(key, value):
+                # An answer stored after the lock is released would now
+                # miss the readers waiting on it.
+                time.sleep(0.02)
+                put(key, value)
+
+            engine.cache.put = slow_put
+            with engine._rpc_lock:
+                readers = [threading.Thread(target=engine.forecast) for _ in range(4)]
+                for reader in readers:
+                    reader.start()
+                time.sleep(0.05)  # every reader has missed and waits for the lock
+            for reader in readers:
+                reader.join()
+            report = engine.telemetry_report()
+        assert [seen.count("forecast") for seen in posts] == [1, 1]  # one scatter
+        assert report["served_by_model"] == 1 and report["served_by_cache"] == 3
+        assert (report["cache_hits"], report["cache_misses"]) == (3, 1)
+
+    def test_concurrent_reads_and_observes_count_every_read_once(self, bundle, tiny_data):
+        readers, reads_each = 6, 30
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _loopback(bundle) as engine:
+                _warm(engine, tiny_data)
+                posts = _record_posts(engine)
+
+                def read(seed):
+                    rng = np.random.default_rng(seed)
+                    for h in rng.integers(1, bundle.spec.horizon + 1, size=reads_each):
+                        results.append(engine.forecast(int(h)))
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
+                for thread in threads:
+                    thread.start()
+                row = engine.store.history
+                for _ in range(5):
+                    _observe_next(engine, tiny_data, row)
+                    row += 1
+                    time.sleep(0.01)
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                report = engine.telemetry_report()
+        finally:
+            sys.setswitchinterval(interval)
+        total = readers * reads_each
+        assert len(results) == report["requests"] == total
+        assert {result.source for result in results} <= {"model", "cache"}
+        assert report["cache_hits"] + report["cache_misses"] == total
+        assert report["served_by_cache"] == report["cache_hits"]
+        # One scatter per miss: one forecast post to each shard.
+        for seen in posts:
+            assert seen.count("forecast") == report["cache_misses"] == report["served_by_model"]
+
+    def test_telemetry_counts_the_routers_own_cache(self, bundle, tiny_data):
+        with _loopback(bundle) as engine:
+            summary = replay_split(engine, tiny_data, steps=3, requests_per_step=4)
+        record = summary["telemetry"]
+        assert summary["sources"] == {"model": 3, "cache": 9, "fallback": 0}
+        assert (record["cache_hits"], record["cache_misses"]) == (9, 3)
+        assert record["cache_hit_rate"] == pytest.approx(0.75)
+        # Workers only ever see the router's misses: no shard caches.
+        for shard in record["shards"]:
+            assert shard["requests"] == 3
+            assert (shard["cache_hits"], shard["cache_misses"]) == (0, 0)
+
+    def test_cache_stays_bounded_and_current(self, bundle, bundle_v2, tiny_data):
+        capacity = 4
+        horizon = bundle.spec.horizon
+        assert horizon > capacity
+        with _loopback(bundle, cache_capacity=capacity) as engine:
+            _warm(engine, tiny_data)
+            engine.publish(bundle_v2, activate=False)
+            row = engine.store.history
+            distinct = 0
+            for tick in range(6):
+                if tick % 2:
+                    _observe_next(engine, tiny_data, row)
+                    row += 1
+                else:
+                    engine.set_graph_version(tick)
+                assert len(engine.cache) == 0  # every earlier entry is stale
+                for version in ("v1", "v2"):
+                    engine.activate(version)
+                    for h in range(1, horizon + 1):
+                        assert engine.forecast(h).source == "model"
+                        distinct += 1
+                        assert len(engine.cache) <= capacity
+                # The newest entries stay answerable: the LRU keeps them.
+                assert engine.forecast(horizon).source == "cache"
+            assert distinct > 3 * capacity
 
 
 # ---------------------------------------------------------------------------
