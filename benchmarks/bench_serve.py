@@ -22,6 +22,11 @@ must cost no more than its ``run_batch`` forward plus 1 ms
 back to back, so a burst of load on the host lands on both sides of its
 difference.
 
+One window is then read at every horizon 1..12 through a
+:class:`~repro.serve.ServingEngine`: one forward emits the whole horizon,
+so the twelve reads must run exactly one batch, and each answer must be
+the first ``h`` steps of the full-horizon answer, bit for bit.
+
 A full-stack replay through :class:`~repro.serve.ServingEngine` then
 records end-to-end latency percentiles, cache hit counters and a forced
 outage-degradation, landing in ``benchmarks/results/serve.json``.  The CLI
@@ -133,6 +138,29 @@ def _bench_microbatch(registry, requests) -> dict:
     }
 
 
+def _bench_horizons(data, registry, bundle) -> dict:
+    """Every horizon of one window: how many batches, and bit-equal slices."""
+    series = data.dataset.series
+    window = slice(-bundle.spec.history, None)
+    store = SlidingWindowStore.for_bundle(bundle)
+    with ServingEngine(registry, store, ServeConfig(max_wait_s=0.001)) as engine:
+        store.warm_from(
+            series.values[window], series.time_of_day[window], series.day_of_week[window]
+        )
+        reads = [engine.forecast(h) for h in range(1, bundle.spec.horizon + 1)]
+        batches = engine.batcher.stats()["batches"]
+    full = reads[-1].values
+    return {
+        "reads": len(reads),
+        "batches": batches,
+        "sources": [read.source for read in reads],
+        "bitwise_slices": all(
+            read.values.tobytes() == full[:h].tobytes()
+            for h, read in enumerate(reads, start=1)
+        ),
+    }
+
+
 def _bench_engine(data, registry, bundle) -> dict:
     """Full-stack replay: latency percentiles, cache and fallback counters."""
     store = SlidingWindowStore.for_bundle(bundle)
@@ -180,12 +208,14 @@ def test_serve_throughput(benchmark):
     def run():
         return {
             "microbatch": _bench_microbatch(registry, requests),
+            "horizons": _bench_horizons(data, registry, bundle),
             "engine": _bench_engine(data, registry, bundle),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
     m = results["microbatch"]
+    h = results["horizons"]
     t = results["engine"]["telemetry"]
     print(f"\n=== Serving throughput ({MODEL} on {DATASET}, {profile_name()} profile) ===")
     print(f"micro-batch: {m['sequential_ms']:.2f} ms sequential vs "
@@ -195,6 +225,8 @@ def test_serve_throughput(benchmark):
           f"under the per-op guard (x{m['guard_ratio']:.2f})")
     print(f"lone submit: {m['submit_overhead_ms']:+.3f} ms over its batch-1 run_batch "
           f"(median of {TIMING_ROUNDS * m['batch_size']} back-to-back pairs)")
+    print(f"horizons:    {h['reads']} horizons of one window in {h['batches']} batch(es) "
+          f"(bit-equal slices: {h['bitwise_slices']})")
     print(f"engine:      p50 {t['latency_ms_p50']:.2f} / p95 {t['latency_ms_p95']:.2f} / "
           f"p99 {t['latency_ms_p99']:.2f} ms, cache hit rate {t['cache_hit_rate']:.2f}, "
           f"fallbacks {t['fallbacks']} {t['fallback_reasons']}")
@@ -209,6 +241,9 @@ def test_serve_throughput(benchmark):
         f"a lone submit costs {m['submit_overhead_ms']:.3f} ms more than its forward, "
         f"above the {SUBMIT_OVERHEAD_MAX_MS} ms gate"
     )
+    assert h["batches"] == 1, f"{h['reads']} horizons of one window ran {h['batches']} batches"
+    assert h["sources"] == ["model"] + ["cache"] * (h["reads"] - 1), h["sources"]
+    assert h["bitwise_slices"], "a shorter horizon is not the full forecast's slice"
     assert results["engine"]["outage_source"] == "fallback"
     assert results["engine"]["outage_reason"] == "outage"
     assert t["cache_hits"] > 0, "replay produced no cache hits"

@@ -18,9 +18,10 @@ Measures the three claims ``docs/scaling.md`` makes for the sharded stack
    admission control shedding (``max_inflight`` set) and without — and the
    shedding arm must come out with the lower p99.
 4. **Repeat reads stop at the router.**  On a K=2 loopback engine, the
-   read after a miss is answered from the router's prediction cache and
-   posts no ``forecast`` op to any worker (posts are counted by wrapping
-   each transport's ``post``).
+   read after a miss — at the same horizon or a different one — is
+   answered from the router's prediction cache and posts no ``forecast``
+   op to any worker (posts are counted by wrapping each transport's
+   ``post``).
 
 Results land in ``benchmarks/results/serve_scale.json``, with the BLAS
 thread count and ``OPENBLAS_NUM_THREADS`` the run saw.  The tiny profile
@@ -141,7 +142,7 @@ def _bench_identity(bundle, data) -> bool:
 
 
 def _bench_router_cache(bundle, data) -> dict:
-    """K=2 loopback: ``forecast`` posts to the workers for a miss and a repeat."""
+    """K=2 loopback: ``forecast`` posts for a miss, a repeat and another horizon."""
     with ShardedServingEngine(
         bundle, num_shards=2, config=_config(), transport="loopback"
     ) as engine:
@@ -157,11 +158,15 @@ def _bench_router_cache(bundle, data) -> dict:
         miss_posts = posts.count("forecast")
         repeat = engine.forecast()
         repeat_posts = posts.count("forecast") - miss_posts
+        other = engine.forecast(1)
+        other_posts = posts.count("forecast") - miss_posts - repeat_posts
     return {
         "miss_source": miss.source,
         "miss_forecast_posts": miss_posts,
         "repeat_source": repeat.source,
         "repeat_forecast_posts": repeat_posts,
+        "other_horizon_source": other.source,
+        "other_horizon_forecast_posts": other_posts,
     }
 
 
@@ -170,23 +175,23 @@ def _bench_overload(bundle, data, cfg, capacity_rps: float) -> dict:
     offered = 2.0 * capacity_rps
     arms = {}
     for arm, shed in (("shed", True), ("no_shed", False)):
+        # One miss in flight: the router runs one forward per window on its
+        # one scatter lane, so a second admitted miss can only queue behind it.
         engine = ShardedServingEngine(
             bundle, num_shards=2,
-            config=_config(max_inflight=2, shed_on_overload=shed),
+            config=_config(max_inflight=1, shed_on_overload=shed),
             transport=cfg["transport"],
         )
         with engine:
-            # Two knobs keep overload on the model path instead of letting
-            # the prediction cache absorb the duplicate arrivals: fast
-            # observation ticks keep the window signature moving, and
-            # cycling the requested horizon gives consecutive requests
-            # distinct cache keys at identical forward cost.
+            # One new row per mean arrival gap keeps the window signature
+            # moving as fast as requests come, so overload stays on the
+            # model path: every horizon of one window is one cache entry,
+            # and only a new window makes a read miss.
             result = run_load(
                 engine, data, rps=offered,
                 duration_s=cfg["overload_duration_s"],
                 steps=max(cfg["steps"], 8), concurrency=12, seed=17,
-                observe_interval_s=0.05,
-                horizons=tuple(range(1, bundle.spec.horizon + 1)),
+                observe_interval_s=1.0 / offered,
             )
         arms[arm] = {
             "requests": result.requests,
@@ -250,13 +255,16 @@ def test_serve_scale(benchmark):
     c = results["router_cache"]
     print(f"K=2 router cache: miss {c['miss_source']} with "
           f"{c['miss_forecast_posts']} forecast posts, repeat "
-          f"{c['repeat_source']} with {c['repeat_forecast_posts']}")
+          f"{c['repeat_source']} with {c['repeat_forecast_posts']}, other horizon "
+          f"{c['other_horizon_source']} with {c['other_horizon_forecast_posts']}")
     o = results["overload"]
     print(f"overload at {o['offered_rps']:.1f} rps "
           f"(2x the {o['capacity_rps']:.1f} rps K=2 capacity): "
           f"p99 {o['shed']['latency_ms_p99']:.1f} ms with shedding "
           f"({o['shed']['shed']} shed) vs "
-          f"{o['no_shed']['latency_ms_p99']:.1f} ms without")
+          f"{o['no_shed']['latency_ms_p99']:.1f} ms without; model answers "
+          f"{o['shed']['sources'].get('model', 0)} / "
+          f"{o['no_shed']['sources'].get('model', 0)}")
 
     assert results["k1_bitwise_identical"], (
         "K=1 sharded serving diverged from the plain engine"
@@ -264,6 +272,7 @@ def test_serve_scale(benchmark):
     assert c == {
         "miss_source": "model", "miss_forecast_posts": 2,
         "repeat_source": "cache", "repeat_forecast_posts": 0,
+        "other_horizon_source": "cache", "other_horizon_forecast_posts": 0,
     }, f"a repeat read was not answered at the router: {c}"
     speedup_k2 = results["speedups"]["2"]
     assert speedup_k2 >= cfg["speedup_k2_gate"], (
@@ -273,6 +282,10 @@ def test_serve_scale(benchmark):
         assert results["speedups"]["4"] >= speedup_k2, (
             f"throughput not monotone: K=4 x{results['speedups']['4']:.2f} "
             f"below K=2 x{speedup_k2:.2f}"
+        )
+    for arm in ("shed", "no_shed"):
+        assert o[arm]["sources"].get("model", 0) > 0, (
+            f"overload arm {arm!r} served no model answers: {o[arm]['sources']}"
         )
     assert o["shed"]["shed"] > 0, "overload arm never triggered shedding"
     assert o["shed"]["latency_ms_p99"] < o["no_shed"]["latency_ms_p99"], (

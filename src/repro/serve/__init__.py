@@ -13,9 +13,10 @@ bottom to top:
 * :class:`MicroBatcher` — coalesces concurrent requests into one batched
   forward under the tensor engine's inference mode; the only place in this
   package allowed to invoke a model (lint rules R008/R009).
-* :class:`PredictionCache` — LRU over (version, window signature, horizon);
-  a hot-swap or a new observation makes stale entries unreachable.  One
-  per deployment, held by its front door.
+* :class:`PredictionCache` — LRU over (version, window signature), each
+  entry one window's frozen full-horizon forecast that answers every
+  horizon; a hot-swap or a new observation makes stale entries
+  unreachable.  One per deployment, held by its front door.
 * :class:`EngineCore` — the transport-free compute core: the
   cold-start/outage/anomaly/error degradation ladder over store and
   batcher (:class:`DegradationPolicy`), with no cache of its own.

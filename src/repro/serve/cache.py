@@ -1,13 +1,19 @@
-"""LRU prediction cache keyed on (servable version, window signature, horizon).
+"""LRU prediction cache keyed on (servable version, window signature).
 
 Traffic forecasts are a natural cache target: many consumers ask for the
 same node-set's forecast between two observation ticks, and the model input
-only changes when a new observation arrives.  The key therefore pins all
-three things a prediction depends on — which model served it, which window
-contents it saw (the front door's monotone signature) and the requested
-horizon — so a stale entry can never be returned as fresh: a hot-swap
-changes the version component, a new observation changes the signature
-component.
+only changes when a new observation arrives.  The key therefore pins the
+two things a prediction depends on — which model served it and which
+window contents it saw (the front door's monotone signature) — so a stale
+entry can never be returned as fresh: a hot-swap changes the version
+component, a new observation changes the signature component.
+
+The requested horizon is not part of the key.  One forward emits the whole
+horizon (Eq. 15), so an entry holds the full-horizon forecast, already in
+raw units, and every read — the miss that computed it included — is
+answered with ``entry[:horizon]``.  Entries are frozen (``writeable =
+False``) rather than copied, so a hit costs no allocation and an answer
+cannot be used to change what later readers get.
 
 A deployment holds one cache, at its front door: the plain
 :class:`~repro.serve.ServingEngine`, or the sharded router
@@ -26,10 +32,11 @@ __all__ = ["PredictionCache"]
 
 
 class PredictionCache:
-    """Thread-safe LRU cache of forecast arrays.
+    """Thread-safe LRU cache of frozen forecast arrays.
 
-    Stores copies on both ``put`` and ``get`` so callers can never mutate a
-    cached prediction in place.  ``invalidate`` drops entries by servable
+    ``put`` takes ownership of the array and marks it read-only; ``get``
+    returns that same array, so callers share one entry and can never
+    mutate it in place.  ``invalidate`` drops entries by servable
     version (or everything); ``invalidate_stale`` drops entries for window
     signatures older than the current one — the serving engine calls it on
     every new observation.
@@ -45,7 +52,7 @@ class PredictionCache:
         self.misses = 0
 
     def get(self, key: tuple, *, recheck: bool = False) -> np.ndarray | None:
-        """A copy of the entry for ``key``, or ``None``; counts one lookup.
+        """The frozen entry for ``key``, or ``None``; counts one lookup.
 
         ``recheck=True`` asks again for a key this caller has just missed
         (the router, once it holds its RPC lock): a hit then turns that
@@ -61,11 +68,14 @@ class PredictionCache:
             self.hits += 1
             if recheck:
                 self.misses -= 1
-            return value.copy()
+            return value
 
     def put(self, key: tuple, value: np.ndarray) -> None:
+        """Store ``value`` under ``key``, taking ownership and freezing it."""
+        value = np.asarray(value)
+        value.flags.writeable = False
         with self._lock:
-            self._entries[key] = np.asarray(value).copy()
+            self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)

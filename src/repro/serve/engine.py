@@ -19,14 +19,19 @@ One ``forecast`` call walks the full serving decision ladder:
 1. **cold start** — window not yet full → historical-average fallback;
 2. **outage** — too many null-coded sensors in the window
    (``DegradationPolicy.outage_threshold``) → fallback;
-3. **cache** (front door only) — a prediction for exactly this (servable
-   version, window signature, horizon) already exists → serve it, no
-   forward;
+3. **cache** (front door only) — a full-horizon forecast for this
+   (servable version, window signature) already exists → serve its first
+   ``horizon`` steps, no forward;
 4. **model** — submit to the :class:`~repro.serve.MicroBatcher`, which
    coalesces concurrent requests into one batched forward under the tensor
    engine's inference mode;
 5. **degraded model** — the forward raised or returned non-finite values →
    fallback (or re-raise, per policy).
+
+One forward emits every horizon step (Eq. 15), so the model tier computes
+the full-horizon forecast once per window and answers each read with a
+read-only view of its first ``horizon`` steps: a shorter horizon asked of
+an unchanged window is a cache hit, not another forward.
 
 Every answer is a :class:`ForecastResult` in raw units, stamped with its
 source, servable version and end-to-end latency, and counted in the
@@ -58,7 +63,6 @@ __all__ = ["DEFAULT_OP_TIMEOUTS", "ServeConfig", "ForecastResult", "EngineCore",
 DEFAULT_OP_TIMEOUTS: dict[str, float] = {
     "observe": 10.0,
     "forecast": 10.0,
-    "set_graph": 10.0,
     "telemetry": 10.0,
     "activate": 30.0,
     "publish": 120.0,
@@ -102,7 +106,10 @@ class ForecastResult:
     ``values`` is ``(horizon, num_nodes)``; ``source`` is ``"model"``,
     ``"cache"`` or ``"fallback"`` (with ``reason`` saying why it degraded:
     ``"cold_start"``, ``"outage"``, ``"anomaly"``, ``"error"`` — or, from
-    the sharded router, ``"shed"`` under admission control).
+    the sharded router, ``"shed"`` under admission control).  A model or
+    cache answer's ``values`` is a read-only view of the window's one
+    frozen full-horizon forecast, shared by every read of that window;
+    copy it before writing to it.
     """
 
     values: np.ndarray
@@ -192,10 +199,10 @@ class EngineCore:
             return self._fallback(bundle, horizon, "outage", start)
 
         signature = self.store.signature()
-        key = (self.registry.active_version, signature, horizon)
+        key = (self.registry.active_version, signature)
         cached = self._cached(key)
         if cached is not None:
-            return self._finish(cached, "cache", key[0], None, start)
+            return self._finish(cached[:horizon], "cache", key[0], None, start)
 
         x, tod, dow = self.store.window()
         try:
@@ -209,20 +216,24 @@ class EngineCore:
             if policy.fallback_on_error:
                 return self._fallback(bundle, horizon, "error", start)
             raise
-        prediction = self.store.scaler.inverse_transform(scaled[0, :horizon, :, 0])
+        # The whole horizon, so every later read of this window can be
+        # answered from the one entry; the scaler is elementwise, so a
+        # slice of it equals the old per-horizon answer bit for bit.
+        prediction = self.store.scaler.inverse_transform(scaled[0, :, :, 0])
         if not np.isfinite(prediction).all():
             if policy.fallback_on_nan:
                 return self._fallback(bundle, horizon, "anomaly", start)
             raise AnomalyError("servable produced non-finite forecast values")
-        self._remember((version, signature, horizon), prediction)
-        return self._finish(prediction, "model", version, None, start)
+        prediction.flags.writeable = False
+        self._remember((version, signature), prediction)
+        return self._finish(prediction[:horizon], "model", version, None, start)
 
     def _cached(self, key: tuple) -> np.ndarray | None:
-        """The front door's cached answer for ``key``; a core has none."""
+        """The front door's full-horizon entry for ``key``; a core has none."""
         return None
 
     def _remember(self, key: tuple, prediction: np.ndarray) -> None:
-        """Keep a model answer in the front door's cache; a core keeps none."""
+        """Keep a full-horizon forecast in the front door's cache; a core keeps none."""
 
     def _fallback(self, bundle, horizon: int, reason: str, start: float) -> ForecastResult:
         last_tod, last_dow = self.store.last_time()

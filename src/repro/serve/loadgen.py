@@ -145,18 +145,17 @@ def run_load(
     requests_per_step: int = 4,
     concurrency: int = 8,
     horizon: int | None = None,
-    horizons=None,
     seed: int = 0,
     observe_interval_s: float | None = None,
     faults=None,
 ) -> LoadResult:
     """Drive ``engine`` over ``data``'s recorded tail and summarise.
 
-    ``horizons`` (a sequence) makes consecutive requests cycle through the
-    given forecast horizons instead of all asking for ``horizon`` — distinct
-    horizons are distinct cache keys, so this keeps an arrival stream on the
-    model path when the benchmark needs overload to reach it (the forward
-    cost itself does not depend on the requested horizon).
+    Every request asks for ``horizon`` (``None``: the engine's default).
+    The requested horizon does not change which cache entry answers a read
+    — one forward serves every horizon of a window — so only new
+    observations (``observe_interval_s``) keep an arrival stream on the
+    model path.
 
     ``faults`` (a :class:`repro.faults.ServeFaultSchedule`) injects serving
     chaos keyed on the global request index: each fault fires once, right
@@ -178,7 +177,6 @@ def run_load(
     arm the benchmark uses to measure capacity before choosing an overload
     rate.
     """
-    pick = _horizon_picker(horizon, horizons)
     if rps is None and (steps <= 0 or requests_per_step <= 0):
         raise ValueError("steps and requests_per_step must be positive")
     series = data.dataset.series
@@ -186,28 +184,18 @@ def run_load(
     if rps is None:
         return _run_closed(
             engine, tail, steps=steps, requests_per_step=requests_per_step,
-            concurrency=concurrency, pick=pick, faults=faults,
+            concurrency=concurrency, horizon=horizon, faults=faults,
         )
     return _run_open(
         engine, tail, rps=rps, duration_s=duration_s, steps=steps,
-        concurrency=concurrency, pick=pick, seed=seed,
+        concurrency=concurrency, horizon=horizon, seed=seed,
         observe_interval_s=observe_interval_s, faults=faults,
     )
 
 
-def _horizon_picker(horizon, horizons):
-    """Map request index -> requested horizon (cycling when given a list)."""
-    if horizons is None:
-        return lambda index: horizon
-    cycle = [int(h) for h in horizons]
-    if not cycle:
-        raise ValueError("horizons must be non-empty when given")
-    return lambda index: cycle[index % len(cycle)]
-
-
 def _run_closed(
     engine, tail, *, steps: int, requests_per_step: int, concurrency: int,
-    pick, faults=None,
+    horizon: int | None, faults=None,
 ) -> LoadResult:
     values, tod, dow = tail
     events = []
@@ -217,12 +205,12 @@ def _run_closed(
             engine.observe(values[step], int(tod[step]), int(dow[step]))
             base = step * requests_per_step
             _fire(faults, base, engine)
-            events.append(_timed(engine.forecast, pick(base), start))
+            events.append(_timed(engine.forecast, horizon, start))
             burst = []
             for extra in range(requests_per_step - 1):
                 _fire(faults, base + 1 + extra, engine)
                 burst.append(
-                    pool.submit(_timed, engine.forecast, pick(base + 1 + extra), start)
+                    pool.submit(_timed, engine.forecast, horizon, start)
                 )
             events.extend(future.result() for future in burst)
     elapsed = now() - start
@@ -231,7 +219,7 @@ def _run_closed(
 
 def _run_open(
     engine, tail, *, rps: float, duration_s: float, steps: int,
-    concurrency: int, pick, seed: int,
+    concurrency: int, horizon: int | None, seed: int,
     observe_interval_s: float | None, faults=None,
 ) -> LoadResult:
     values, tod, dow = tail
@@ -260,7 +248,7 @@ def _run_open(
                 if delay > 0:
                     time.sleep(delay)
                 _fire(faults, index, engine)
-                futures.append(pool.submit(_timed, engine.forecast, pick(index), start))
+                futures.append(pool.submit(_timed, engine.forecast, horizon, start))
             events = [future.result() for future in futures]
     finally:
         stop.set()

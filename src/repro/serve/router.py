@@ -12,13 +12,17 @@ Responsibilities, top to bottom:
 
 * **Prediction cache** — the deployment's one
   :class:`~repro.serve.PredictionCache`, keyed on (active version, router
-  signature, horizon).  A repeat read is answered before admission
-  control, without the RPC lock and without any transport call; a miss
-  looks again once it holds the lock, so concurrent misses of one key run
-  one scatter.  ``observe`` and ``set_graph_version`` bump the signature
-  and drop stale entries inside the same RPC round as their scatter, and
-  only a stitched answer with no failed shard and no fallback part is
-  stored.  Shard workers keep no cache of their own.
+  signature).  A miss asks every worker for the bundle's full horizon and
+  caches the stitched forecast; every read of that window, whatever its
+  horizon, is answered with the entry's first ``horizon`` steps.  A repeat
+  read is answered before admission control, without the RPC lock and
+  without any transport call; a miss looks again once it holds the lock,
+  so concurrent misses of one window run one scatter.  ``observe`` bumps
+  the signature and drops stale entries inside the same RPC round as its
+  scatter, ``set_graph_version`` under the same lock with no scatter at
+  all, and only a stitched answer with no failed shard and no fallback
+  part is stored.  Shard workers keep no cache of their own, so a graph
+  rewrite never reaches them.
 * **Admission control** — ``DegradationPolicy.max_inflight`` bounds the
   requests inside the router; overload arrivals are shed straight to the
   historical-average profile (reason ``"shed"``) instead of queueing into a
@@ -275,14 +279,11 @@ class ShardedServingEngine:
             raise ValueError(
                 f"expected {self.store.num_nodes} node values, got {values.shape[0]}"
             )
+        # ``graph_version`` is accepted for the ServingEngine surface and not
+        # shipped: every row already starts a new router signature, and the
+        # workers keep no cache for a tag to invalidate.
         slices = self.partition.scatter_row(values)
-        if graph_version is None:
-            payloads = [(local, tod, dow) for local in slices]
-        else:
-            # Per-tick adjacency tag: each shard bumps its window signature
-            # when the tag changes, so a mid-stream graph rewrite invalidates
-            # its prediction cache (see SlidingWindowStore.append).
-            payloads = [(local, tod, dow, int(graph_version)) for local in slices]
+        payloads = [(local, tod, dow) for local in slices]
         with self._rpc_lock:
             # Journal inside the same round: a supervisor delta-replay can
             # never interleave between a scatter and its journal entry.
@@ -297,30 +298,24 @@ class ShardedServingEngine:
         return signature
 
     def set_graph_version(self, graph_version: int) -> int:
-        """Broadcast a mid-stream graph rewrite to every shard.
+        """Absorb a mid-stream graph rewrite at the front door.
 
         The sharded counterpart of :meth:`ServingEngine.set_graph_version`:
         a road closure between two observations must invalidate the
-        router's cached answers even though no new row arrived.  Shards
-        that cannot be reached degrade as usual.
+        router's cached answers even though no new row arrived.  Only the
+        router's signature moves — the workers keep no cache, so no op is
+        sent to any of them.
         """
         with self._rpc_lock:
-            outcomes = self._broadcast_locked(
-                "set_graph", [(int(graph_version),)] * len(self.workers)
-            )
-            signature = self._advance_locked()
-        _outcomes, failures = self._settle("set_graph", outcomes)
-        if failures and not self.config.policy.fallback_on_error:
-            raise failures[0][1]
-        return signature
+            return self._advance_locked()
 
     def _advance_locked(self, observed_time: tuple[int, int] | None = None) -> int:
         """Start a new window signature and drop the cache's stale entries.
 
-        Must be called with ``_rpc_lock`` held, in the round whose scatter
-        moved the shards' windows: no read can then scatter against the
-        new windows under the old signature.  ``observed_time`` counts one
-        observed row at that ``(tod, dow)``.
+        Must be called with ``_rpc_lock`` held, in the round that moved the
+        shards' windows (or the graph they are read under): no read can
+        then scatter against the new state under the old signature.
+        ``observed_time`` counts one observed row at that ``(tod, dow)``.
         """
         with self._state_lock:
             if observed_time is not None:
@@ -351,7 +346,7 @@ class ShardedServingEngine:
         with self._state_lock:
             if self.observed == 0:
                 raise RuntimeError("no observations ingested yet; call observe() first")
-            key = (self.active_version, self._signature, horizon)
+            key = (self.active_version, self._signature)
             cached = self.cache.get(key)
             if cached is None:
                 over_limit = (
@@ -365,7 +360,7 @@ class ShardedServingEngine:
                 else:
                     self._inflight += 1
         if cached is not None:
-            return self._finish(cached, "cache", key[0], None, start)
+            return self._finish(cached[:horizon], "cache", key[0], None, start)
         if shed_now:
             values = fallback_forecast(
                 profile, last_tod, last_dow, horizon, spec.steps_per_day
@@ -376,15 +371,17 @@ class ShardedServingEngine:
                 # The key of this round: observe and set_graph_version
                 # move the signature only while holding _rpc_lock.
                 with self._state_lock:
-                    key = (self.active_version, self._signature, horizon)
+                    key = (self.active_version, self._signature)
                 cached = self.cache.get(key, recheck=True)
                 if cached is None:
+                    # The full horizon, whatever this read asked for: the
+                    # cached entry then answers every horizon of the window.
                     outcomes = self._broadcast_locked(
-                        "forecast", [(horizon,)] * len(self.workers)
+                        "forecast", [(spec.horizon,)] * len(self.workers)
                     )
                     clean = self._remember_locked(key, outcomes)
             if cached is not None:
-                return self._finish(cached, "cache", key[0], None, start)
+                return self._finish(cached[:horizon], "cache", key[0], None, start)
             outcomes, failures = self._settle("forecast", outcomes)
             if failures and not policy.fallback_on_error:
                 raise failures[0][1]
@@ -392,11 +389,11 @@ class ShardedServingEngine:
             with self._state_lock:
                 self._inflight -= 1
         if clean is not None:
-            return self._finish(clean, "model", key[0], None, start)
+            return self._finish(clean[:horizon], "model", key[0], None, start)
         return self._stitch(outcomes, failures, horizon, start)
 
     def _remember_locked(self, key: tuple, outcomes: list) -> np.ndarray | None:
-        """Stitch and cache an all-model answer under its round's key.
+        """Stitch and cache an all-model full-horizon answer under its round's key.
 
         Must be called with ``_rpc_lock`` held, so a miss waiting on the
         lock finds the entry when it looks again.  Only an answer that
@@ -418,7 +415,9 @@ class ShardedServingEngine:
 
         Healthy shards contribute their model/fallback answers; failed
         shards contribute historical-average values for their owned nodes
-        only, sliced from the active version's full-graph profile.
+        only, sliced from the active version's full-graph profile.  Every
+        part covers the bundle's full horizon; the stitched forecast is cut
+        to the requested ``horizon`` at the end.
         """
         num_shards = len(self.workers)
         failed = {shard for shard, _error in failures}
@@ -427,8 +426,9 @@ class ShardedServingEngine:
             last_tod, last_dow = self.last_time()
             with self._state_lock:
                 profile = self._bundles[self.active_version].fallback_profile
+            spec = self.bundle.spec
             full_fallback = fallback_forecast(
-                profile, last_tod, last_dow, horizon, self.bundle.spec.steps_per_day
+                profile, last_tod, last_dow, spec.horizon, spec.steps_per_day
             )
             if 0 < len(failed) < num_shards:
                 with self._state_lock:
@@ -450,7 +450,7 @@ class ShardedServingEngine:
         else:
             source, reason = "model", None
         version = results[0].version if results else self.active_version
-        return self._finish(values, source, version, reason, start)
+        return self._finish(values[:horizon], source, version, reason, start)
 
     def _finish(self, values, source, version, reason, start) -> ForecastResult:
         latency = now() - start

@@ -14,11 +14,12 @@ runs* behind one small request/reply surface:
   shards with no shared interpreter state.  It keeps no prediction
   cache: the router in front answers repeat reads.
 
-Both speak the same op set — ``observe``, ``forecast``, ``set_graph``,
-``publish``, ``activate``, ``telemetry``, ``ping``, ``stop`` — and both
-support the
+Both speak the same op set — ``observe``, ``forecast``, ``publish``,
+``activate``, ``telemetry``, ``ping``, ``stop`` — and both support the
 split ``post``/``wait`` form the router uses to scatter a request across
-every shard before gathering any reply.  Worker failures surface as
+every shard before gathering any reply.  Graph rewrites never reach a
+worker: they only move the router's cache signature, and a worker keeps
+no cache.  Worker failures surface as
 :class:`TransportError` carrying the shard index and op, which the
 router's degradation ladder absorbs per shard.
 
@@ -133,13 +134,10 @@ class WorkerTransport:
 def _apply(core: EngineCore, op: str, payload: tuple):
     """Execute one transport op against a serving core."""
     if op == "observe":
-        values, tod, dow = payload[:3]
-        graph_version = payload[3] if len(payload) > 3 else None
-        return core.observe(values, tod, dow, graph_version=graph_version)
+        values, tod, dow = payload
+        return core.observe(values, tod, dow)
     if op == "forecast":
         return core.forecast(payload[0])
-    if op == "set_graph":
-        return core.set_graph_version(payload[0])
     if op == "publish":
         bundle, version, activate = payload
         return core.registry.publish(bundle, version=version, activate=activate)

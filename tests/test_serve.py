@@ -229,45 +229,46 @@ class TestSlidingWindowStore:
 class TestPredictionCache:
     def test_miss_then_hit(self):
         cache = PredictionCache()
-        assert cache.get(("v1", 1, 12)) is None
-        cache.put(("v1", 1, 12), np.arange(3.0))
-        np.testing.assert_array_equal(cache.get(("v1", 1, 12)), np.arange(3.0))
+        assert cache.get(("v1", 1)) is None
+        cache.put(("v1", 1), np.arange(3.0))
+        np.testing.assert_array_equal(cache.get(("v1", 1)), np.arange(3.0))
         assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
 
-    def test_returns_copies(self):
+    def test_entries_are_frozen(self):
         cache = PredictionCache()
         value = np.arange(3.0)
-        cache.put(("v1", 1, 12), value)
-        value[:] = -1.0
-        fetched = cache.get(("v1", 1, 12))
-        np.testing.assert_array_equal(fetched, np.arange(3.0))
-        fetched[:] = -2.0
-        np.testing.assert_array_equal(cache.get(("v1", 1, 12)), np.arange(3.0))
+        cache.put(("v1", 1), value)
+        fetched = cache.get(("v1", 1))
+        assert fetched is value  # owned and shared, not copied
+        for array in (value, fetched, fetched[:2]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = -1.0
+        np.testing.assert_array_equal(cache.get(("v1", 1)), np.arange(3.0))
 
     def test_lru_eviction(self):
         cache = PredictionCache(capacity=2)
-        cache.put(("v1", 1, 12), np.zeros(1))
-        cache.put(("v1", 2, 12), np.zeros(1))
-        cache.get(("v1", 1, 12))  # refresh 1; 2 becomes LRU
-        cache.put(("v1", 3, 12), np.zeros(1))
-        assert cache.get(("v1", 2, 12)) is None
-        assert cache.get(("v1", 1, 12)) is not None
+        cache.put(("v1", 1), np.zeros(1))
+        cache.put(("v1", 2), np.zeros(1))
+        cache.get(("v1", 1))  # refresh 1; 2 becomes LRU
+        cache.put(("v1", 3), np.zeros(1))
+        assert cache.get(("v1", 2)) is None
+        assert cache.get(("v1", 1)) is not None
 
     def test_invalidate_by_version(self):
         cache = PredictionCache()
-        cache.put(("v1", 1, 12), np.zeros(1))
-        cache.put(("v2", 1, 12), np.zeros(1))
+        cache.put(("v1", 1), np.zeros(1))
+        cache.put(("v2", 1), np.zeros(1))
         assert cache.invalidate("v1") == 1
-        assert cache.get(("v1", 1, 12)) is None
-        assert cache.get(("v2", 1, 12)) is not None
+        assert cache.get(("v1", 1)) is None
+        assert cache.get(("v2", 1)) is not None
 
     def test_invalidate_stale_signatures(self):
         cache = PredictionCache()
-        cache.put(("v1", 1, 12), np.zeros(1))
-        cache.put(("v1", 2, 12), np.zeros(1))
+        cache.put(("v1", 1), np.zeros(1))
+        cache.put(("v1", 2), np.zeros(1))
         assert cache.invalidate_stale(2) == 1
         assert len(cache) == 1
-        assert cache.get(("v1", 2, 12)) is not None
+        assert cache.get(("v1", 2)) is not None
 
 
 class TestMicroBatcher:

@@ -11,6 +11,7 @@ from repro.models import build_model
 from repro.obs import TELEMETRY_SCHEMA, MemorySink, ServingTally, latency_summary_ms
 from repro.serve import (
     DegradationPolicy,
+    ForecastRequest,
     ModelRegistry,
     ServableBundle,
     ServeConfig,
@@ -84,14 +85,40 @@ class TestForecastFlow:
             with pytest.raises(ValueError):
                 engine.forecast(horizon=bundle.spec.horizon + 1)
 
-    def test_shorter_horizon_served_and_cached_separately(self, bundle, tiny_data):
+    def test_shorter_horizon_served_from_cache(self, bundle, tiny_data):
         with _engine(bundle) as engine:
             _warm(engine, tiny_data)
             short = engine.forecast(horizon=3)
             full = engine.forecast()
         assert short.values.shape[0] == 3
-        assert short.source == "model" and full.source == "model"
+        assert short.source == "model" and full.source == "cache"
         np.testing.assert_array_equal(short.values, full.values[:3])
+
+    def test_every_horizon_from_one_forward(self, bundle, tiny_data):
+        horizon = bundle.spec.horizon
+        with _engine(bundle) as engine:
+            _warm(engine, tiny_data)
+            reads = {h: engine.forecast(h) for h in range(1, horizon + 1)}
+            batches = engine.batcher.stats()["batches"]
+            # The per-horizon answer of a dedicated batch-1 forward.
+            scaled, _ = engine.batcher.run_batch([ForecastRequest(*engine.store.window())])
+            scaler = engine.store.scaler
+        assert batches == 1
+        assert [reads[h].source for h in reads] == ["model"] + ["cache"] * (horizon - 1)
+        full = reads[horizon].values
+        for h, result in reads.items():
+            assert result.values.shape == (h, bundle.spec.num_nodes)
+            assert result.values.tobytes() == full[:h].tobytes()
+            expected = scaler.inverse_transform(scaled[0][0, :h, :, 0])
+            assert result.values.tobytes() == expected.tobytes()
+            assert not result.values.flags.writeable
+
+    def test_fallback_values_stay_writeable(self, bundle, tiny_data):
+        with _engine(bundle) as engine:
+            _warm(engine, tiny_data, steps=2)
+            result = engine.forecast(horizon=4)
+        assert result.source == "fallback" and result.values.shape[0] == 4
+        result.values[:] = 0.0
 
 
 class TestDegradation:

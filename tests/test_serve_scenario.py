@@ -84,7 +84,7 @@ class TestGraphVersionPlumbing:
             assert len(engine.cache) == 0
             assert engine.forecast().source == "model"
 
-    def test_router_broadcasts_graph_version_to_all_shards(self, bundle, tiny_data):
+    def test_router_graph_rewrite_reaches_no_worker(self, bundle, tiny_data):
         series = tiny_data.dataset.series
         with _sharded(bundle) as engine:
             history = engine.store.history
@@ -95,8 +95,25 @@ class TestGraphVersionPlumbing:
             )
             assert engine.forecast().source == "model"
             assert engine.forecast().source == "cache"
+            posts = []
+            for worker in engine.workers:
+                def recorded(op, payload=(), post=worker.post):
+                    posts.append((op, payload))
+                    post(op, payload)
+
+                worker.post = recorded
             engine.set_graph_version(1)
+            assert posts == []  # the workers keep no cache to invalidate
+            assert len(engine.cache) == 0
             assert engine.forecast().source == "model"
+            # A tagged row ships the bare row: the router drops the tag.
+            engine.observe(
+                series.values[history], int(series.time_of_day[history]),
+                int(series.day_of_week[history]), graph_version=1,
+            )
+            observes = [payload for op, payload in posts if op == "observe"]
+            assert len(observes) == len(engine.workers)
+            assert all(len(payload) == 3 for payload in observes)
 
 
 class TestReplayParity:

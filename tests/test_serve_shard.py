@@ -201,6 +201,31 @@ class TestShardedEngine:
         assert result.source == reference.source == "model"
         np.testing.assert_array_equal(result.values, reference.values)
 
+    def test_k1_loopback_mixed_horizons_bit_identical_to_plain_engine(
+        self, bundle, tiny_data
+    ):
+        horizons = (5, 12, 1, 12, 7, 3)
+        answers = []
+        for engine in (
+            _plain_engine(bundle),
+            ShardedServingEngine(bundle, num_shards=1, transport="loopback"),
+        ):
+            with engine:
+                _warm(engine, tiny_data)
+                row = engine.store.history
+                reads = []
+                for tick in range(3):
+                    if tick:
+                        _observe_next(engine, tiny_data, row)
+                        row += 1
+                    for h in horizons[tick:] + horizons[:tick]:
+                        result = engine.forecast(h)
+                        reads.append((result.source, result.values.tobytes()))
+            answers.append(reads)
+        plain, sharded = answers
+        assert [source for source, _ in plain] == (["model"] + ["cache"] * 5) * 3
+        assert sharded == plain
+
     def test_k2_matches_full_graph_with_wide_halo(self, bundle, tiny_data):
         # halo_hops large enough that each shard holds the whole dependency
         # ball of its owned nodes — owned-node outputs then equal the
@@ -444,6 +469,24 @@ class TestRouterCache:
             assert engine.forecast().source == "cache"
             assert posts == [["forecast"], ["forecast"]]
 
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_every_horizon_from_one_forward(self, bundle, tiny_data, num_shards):
+        horizon = bundle.spec.horizon
+        with _loopback(bundle, num_shards=num_shards) as engine:
+            _warm(engine, tiny_data)
+            posts = _record_posts(engine)
+            reads = {h: engine.forecast(h) for h in range(1, horizon + 1)}
+            report = engine.telemetry_report()
+        assert [reads[h].source for h in reads] == ["model"] + ["cache"] * (horizon - 1)
+        full = reads[horizon].values
+        for h, result in reads.items():
+            assert result.values.shape == (h, bundle.spec.num_nodes)
+            assert result.values.tobytes() == full[:h].tobytes()
+            assert not result.values.flags.writeable
+        # One scatter, asked at the full horizon, one batched forward per shard.
+        assert [seen.count("forecast") for seen in posts] == [1] * num_shards
+        assert [shard["batches"] for shard in report["shards"]] == [1] * num_shards
+
     def test_concurrent_misses_of_one_key_run_one_scatter(self, bundle, tiny_data):
         with _loopback(bundle) as engine:
             _warm(engine, tiny_data)
@@ -522,10 +565,13 @@ class TestRouterCache:
     def test_cache_stays_bounded_and_current(self, bundle, bundle_v2, tiny_data):
         capacity = 4
         horizon = bundle.spec.horizon
-        assert horizon > capacity
         with _loopback(bundle, cache_capacity=capacity) as engine:
             _warm(engine, tiny_data)
-            engine.publish(bundle_v2, activate=False)
+            # More versions than entries: the keys of one window outgrow the cap.
+            versions = ["v1"] + [
+                engine.publish(bundle_v2 if i % 2 == 0 else bundle, activate=False)
+                for i in range(capacity + 1)
+            ]
             row = engine.store.history
             distinct = 0
             for tick in range(6):
@@ -535,14 +581,14 @@ class TestRouterCache:
                 else:
                     engine.set_graph_version(tick)
                 assert len(engine.cache) == 0  # every earlier entry is stale
-                for version in ("v1", "v2"):
+                for version in versions:
                     engine.activate(version)
-                    for h in range(1, horizon + 1):
-                        assert engine.forecast(h).source == "model"
-                        distinct += 1
-                        assert len(engine.cache) <= capacity
-                # The newest entries stay answerable: the LRU keeps them.
+                    assert engine.forecast(horizon).source == "model"
+                    distinct += 1
+                    assert len(engine.cache) <= capacity
+                # The newest entry stays answerable at every horizon.
                 assert engine.forecast(horizon).source == "cache"
+                assert engine.forecast(1).source == "cache"
             assert distinct > 3 * capacity
 
 
