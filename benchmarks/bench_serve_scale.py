@@ -175,11 +175,9 @@ def _bench_overload(bundle, data, cfg, capacity_rps: float) -> dict:
     offered = 2.0 * capacity_rps
     arms = {}
     for arm, shed in (("shed", True), ("no_shed", False)):
-        # One miss in flight: the router runs one forward per window on its
-        # one scatter lane, so a second admitted miss can only queue behind it.
         engine = ShardedServingEngine(
             bundle, num_shards=2,
-            config=_config(max_inflight=1, shed_on_overload=shed),
+            config=_config(max_inflight=2, shed_on_overload=shed),
             transport=cfg["transport"],
         )
         with engine:

@@ -35,9 +35,11 @@ class DegradationPolicy:
 
     ``max_inflight`` / ``shed_on_overload`` are the sharded router's
     admission control (:class:`~repro.serve.ShardedServingEngine`): once
-    more than ``max_inflight`` requests are inside the router, new arrivals
-    are *shed* — answered immediately from the historical-average profile
+    ``max_inflight`` cache misses are inside the router, new misses are
+    *shed* — answered immediately from the historical-average profile
     with reason ``"shed"`` — instead of queueing into a latency collapse.
+    A miss of the window whose forward is already scattering is neither
+    counted nor shed: that forward's cached answer serves it.
     ``max_inflight=None`` disables admission control;
     ``shed_on_overload=False`` keeps the limit visible in telemetry but
     lets requests queue (the control arm of the overload benchmark).

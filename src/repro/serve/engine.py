@@ -224,7 +224,6 @@ class EngineCore:
             if policy.fallback_on_nan:
                 return self._fallback(bundle, horizon, "anomaly", start)
             raise AnomalyError("servable produced non-finite forecast values")
-        prediction.flags.writeable = False
         self._remember((version, signature), prediction)
         return self._finish(prediction[:horizon], "model", version, None, start)
 

@@ -24,10 +24,12 @@ Responsibilities, top to bottom:
   part is stored.  Shard workers keep no cache of their own, so a graph
   rewrite never reaches them.
 * **Admission control** — ``DegradationPolicy.max_inflight`` bounds the
-  requests inside the router; overload arrivals are shed straight to the
+  misses inside the router; overload arrivals are shed straight to the
   historical-average profile (reason ``"shed"``) instead of queueing into a
-  latency collapse.  ``benchmarks/bench_serve_scale.py`` measures the p99
-  difference this buys under 2x-capacity overload.
+  latency collapse.  A miss of the window whose forward is scattering is
+  neither counted nor shed: it waits for that round's cached answer.
+  ``benchmarks/bench_serve_scale.py`` compares the p99 with and without
+  shedding under 2x-capacity overload.
 * **Scatter/gather** — one ``observe`` fans each shard its local slice of
   the row (owned + halo columns: the halo exchange); one ``forecast`` fans
   out to every shard and stitches the owned columns of each answer into
@@ -162,6 +164,9 @@ class ShardedServingEngine:
         self._rpc_lock = threading.Lock()  # one scatter/gather round at a time
         self._state_lock = threading.Lock()
         self._inflight = 0
+        # The key of the forward round now scattering, None between rounds:
+        # a miss of that key waits for its answer and is not admission-counted.
+        self._scattering: tuple | None = None
         self.observed = 0
         # Bumped, with the cache's stale entries dropped, only inside the
         # _rpc_lock round whose scatter changed the shards' windows.
@@ -342,13 +347,15 @@ class ShardedServingEngine:
         if not 1 <= horizon <= spec.horizon:
             raise ValueError(f"horizon must be in [1, {spec.horizon}], got {horizon}")
         policy = self.config.policy
-        shed_now = False
+        shed_now = admitted = False
         with self._state_lock:
             if self.observed == 0:
                 raise RuntimeError("no observations ingested yet; call observe() first")
             key = (self.active_version, self._signature)
             cached = self.cache.get(key)
-            if cached is None:
+            # A miss of the window being scattered costs no forward of its
+            # own: the round stores its answer before releasing _rpc_lock.
+            if cached is None and key != self._scattering:
                 over_limit = (
                     policy.max_inflight is not None
                     and self._inflight >= policy.max_inflight
@@ -359,6 +366,7 @@ class ShardedServingEngine:
                     profile = self._bundles[self.active_version].fallback_profile
                 else:
                     self._inflight += 1
+                    admitted = True
         if cached is not None:
             return self._finish(cached[:horizon], "cache", key[0], None, start)
         if shed_now:
@@ -372,22 +380,28 @@ class ShardedServingEngine:
                 # move the signature only while holding _rpc_lock.
                 with self._state_lock:
                     key = (self.active_version, self._signature)
-                cached = self.cache.get(key, recheck=True)
-                if cached is None:
-                    # The full horizon, whatever this read asked for: the
-                    # cached entry then answers every horizon of the window.
-                    outcomes = self._broadcast_locked(
-                        "forecast", [(spec.horizon,)] * len(self.workers)
-                    )
-                    clean = self._remember_locked(key, outcomes)
+                    self._scattering = key
+                try:
+                    cached = self.cache.get(key, recheck=True)
+                    if cached is None:
+                        # The full horizon, whatever this read asked for: the
+                        # cached entry then answers every horizon of the window.
+                        outcomes = self._broadcast_locked(
+                            "forecast", [(spec.horizon,)] * len(self.workers)
+                        )
+                        clean = self._remember_locked(key, outcomes)
+                finally:
+                    with self._state_lock:
+                        self._scattering = None
             if cached is not None:
                 return self._finish(cached[:horizon], "cache", key[0], None, start)
             outcomes, failures = self._settle("forecast", outcomes)
             if failures and not policy.fallback_on_error:
                 raise failures[0][1]
         finally:
-            with self._state_lock:
-                self._inflight -= 1
+            if admitted:
+                with self._state_lock:
+                    self._inflight -= 1
         if clean is not None:
             return self._finish(clean[:horizon], "model", key[0], None, start)
         return self._stitch(outcomes, failures, horizon, start)

@@ -512,6 +512,46 @@ class TestRouterCache:
         assert report["served_by_model"] == 1 and report["served_by_cache"] == 3
         assert (report["cache_hits"], report["cache_misses"]) == (3, 1)
 
+    def test_misses_of_the_window_being_scattered_are_not_shed(self, bundle, tiny_data):
+        horizon = bundle.spec.horizon
+        policy = DegradationPolicy(max_inflight=1, shed_on_overload=True)
+        with _loopback(bundle, policy=policy) as engine:
+            _warm(engine, tiny_data)
+            posts = _record_posts(engine)
+            scattering, release = threading.Event(), threading.Event()
+
+            def held(op, payload=(), post=engine.workers[0].post):
+                if op == "forecast":
+                    scattering.set()
+                    release.wait(timeout=5.0)
+                post(op, payload)
+
+            engine.workers[0].post = held
+            results = {}
+
+            def read(h):
+                results[h] = engine.forecast(h)
+
+            leader = threading.Thread(target=read, args=(horizon,))
+            leader.start()
+            assert scattering.wait(timeout=5.0)
+            # The one admitted miss is scattering: every other read of its
+            # window, at any horizon, misses the cache now.
+            joiners = [threading.Thread(target=read, args=(h,)) for h in range(1, horizon)]
+            for joiner in joiners:
+                joiner.start()
+            time.sleep(0.05)
+            release.set()
+            for thread in [leader, *joiners]:
+                thread.join(timeout=10.0)
+            report = engine.telemetry_report()
+        assert report["shed"] == 0
+        assert results[horizon].source == "model"
+        assert {results[h].source for h in range(1, horizon)} == {"cache"}
+        for h in range(1, horizon):
+            assert results[h].values.tobytes() == results[horizon].values[:h].tobytes()
+        assert [seen.count("forecast") for seen in posts] == [1, 1]  # one scatter
+
     def test_concurrent_reads_and_observes_count_every_read_once(self, bundle, tiny_data):
         readers, reads_each = 6, 30
         results = []
